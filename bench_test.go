@@ -13,6 +13,7 @@ package ecochip
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -450,24 +451,75 @@ func BenchmarkNodeSweepIncremental(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	// visit runs concurrently on the walk's workers: each marks its
+	// point's slot in an atomic bitmap, so a point visited twice or never
+	// fails the bench.
+	seen := make([]atomic.Uint32, plan.Combos())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points := 0
+		round := uint32(i + 1)
 		err := plan.Walk(ctx, func(idx int, pt *DesignPoint) error {
-			points++
+			if !seen[idx].CompareAndSwap(round-1, round) {
+				return fmt.Errorf("point %d visited twice", idx)
+			}
 			return nil
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if points != 625 {
-			b.Fatalf("expected 625 points, got %d", points)
+		visited := 0
+		for idx := range seen {
+			if seen[idx].Load() == round {
+				visited++
+			}
+		}
+		if visited != 625 {
+			b.Fatalf("expected 625 points, got %d", visited)
 		}
 	}
 	b.StopTimer()
 	s := plan.Stats()
 	if s.Floorplan.FastPath+s.Floorplan.Unchanged == 0 {
 		b.Fatal("incremental sweep never hit the retained-tree fast path")
+	}
+}
+
+// BenchmarkNodeSweepIdenticalDies measures the streaming walk of an
+// already-compiled plan over identical dies: the 9-chiplet EPYC-style
+// CPU (8 identical CCDs around one IO die) on silicon bridges over 3
+// nodes, 19683 points. The plan outgrows the per-point package memo, so
+// the walk runs the packaging estimator on every point; the CCDs make
+// most points permutations of an area multiset planned before, which
+// the floorplan memo serves.
+func BenchmarkNodeSweepIdenticalDies(b *testing.B) {
+	db := DefaultDB()
+	base, err := EPYC(db, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base.Packaging = DefaultPackaging(SiliconBridge)
+	plan, err := CompileNodeSweep(base, db, []int{7, 10, 14}, DefaultCostParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if plan.Combos() != 19683 {
+		b.Fatalf("expected 19683 points, got %d", plan.Combos())
+	}
+	ctx := context.Background()
+	var points atomic.Int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		points.Store(0)
+		err := plan.Walk(ctx, func(idx int, pt *DesignPoint) error {
+			points.Add(1)
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := points.Load(); n != 19683 {
+			b.Fatalf("expected 19683 points, got %d", n)
+		}
 	}
 }
 

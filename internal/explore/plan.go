@@ -99,6 +99,10 @@ type CompiledPlan struct {
 	// monolithic bases): no packaging, no communication fabric.
 	monolith bool
 
+	// fpMemoSlots is the permutation-invariant floorplan memo size long
+	// walks arm their scratches with (see walkBlock); 0 = never armed.
+	fpMemoSlots int
+
 	// scratches pools per-worker evaluation arenas across runs of this
 	// plan, so retained state — the estimator's floorplan tree, its
 	// communication cells and package-term memo — survives from one
@@ -147,6 +151,14 @@ func Compile(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*Comp
 		r:        len(nodes),
 		combos:   combos,
 		monolith: tbl.Monolith,
+	}
+	// The floorplan memo is armed only where it can pay for its table:
+	// on identical dies (the table reports a slot bound), and on plans
+	// the per-point memo cannot hold whole — a smaller plan's re-walks
+	// never reach the floorplan, and serving-sized caches of many small
+	// plans would carry one table per pooled scratch.
+	if combos > kernel.PkgPointMemoSlots {
+		p.fpMemoSlots = tbl.FloorplanMemoSlots()
 	}
 	p.weight = make([]int, nc)
 	w := 1
@@ -455,6 +467,11 @@ func (p *CompiledPlan) putScratch(sc *blockScratch) {
 	p.scratches.Put(sc)
 }
 
+// minMemoWalk is the shortest walk that arms the floorplan memo: a
+// shorter one (a what-if point, a shard lease) revisits too few area
+// multisets to repay the table it would allocate.
+const minMemoWalk = 1024
+
 // walkBlock walks the Gray-code segment [lo, hi) of the combination
 // sequence, streaming each evaluated point (and its output slot) to
 // visit from a block-local scratch. Each Gray step names the single
@@ -467,6 +484,9 @@ func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx
 		return err
 	}
 	defer p.putScratch(sc)
+	if p.fpMemoSlots > 0 && hi-lo >= minMemoWalk {
+		sc.sc.ArmFloorplanMemo(p.fpMemoSlots)
+	}
 
 	p.grayInit(lo, sc)
 	pkgCh := sc.sc.Chiplets()

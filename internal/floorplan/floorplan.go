@@ -153,17 +153,47 @@ func findAdjacencies(ps []Placement, spacing float64) []Adjacency {
 }
 
 func facing(a, b Placement, maxGap float64) (Adjacency, bool) {
+	ov, ok := overlap(a, b, maxGap)
+	if !ok {
+		return Adjacency{}, false
+	}
+	return Adjacency{A: a.Name, B: b.Name, OverlapMM: ov}, true
+}
+
+// overlap is facing's geometry: the shared-edge length of two placed
+// rectangles whose edges face across at most maxGap. The min/max are
+// branches, not math.Min/math.Max: placement coordinates are finite and
+// at least +0 (sums of +0 and positive dimensions), so there is no NaN
+// or signed zero for the math versions to special-case, and the branch
+// picks the same bits.
+func overlap(a, b Placement, maxGap float64) (float64, bool) {
+	ax1, ay1 := a.X+a.Width, a.Y+a.Height
+	bx1, by1 := b.X+b.Width, b.Y+b.Height
 	// Horizontal neighbours (a left of b or b left of a).
-	gapX := math.Max(b.X-(a.X+a.Width), a.X-(b.X+b.Width))
-	overlapY := math.Min(a.Y+a.Height, b.Y+b.Height) - math.Max(a.Y, b.Y)
+	gapX := max2(b.X-ax1, a.X-bx1)
+	overlapY := min2(ay1, by1) - max2(a.Y, b.Y)
 	if gapX >= -1e-9 && gapX <= maxGap && overlapY > 1e-9 {
-		return Adjacency{A: a.Name, B: b.Name, OverlapMM: overlapY}, true
+		return overlapY, true
 	}
 	// Vertical neighbours.
-	gapY := math.Max(b.Y-(a.Y+a.Height), a.Y-(b.Y+b.Height))
-	overlapX := math.Min(a.X+a.Width, b.X+b.Width) - math.Max(a.X, b.X)
+	gapY := max2(b.Y-ay1, a.Y-by1)
+	overlapX := min2(ax1, bx1) - max2(a.X, b.X)
 	if gapY >= -1e-9 && gapY <= maxGap && overlapX > 1e-9 {
-		return Adjacency{A: a.Name, B: b.Name, OverlapMM: overlapX}, true
+		return overlapX, true
 	}
-	return Adjacency{}, false
+	return 0, false
+}
+
+func min2(a, b float64) float64 {
+	if b < a {
+		return b
+	}
+	return a
+}
+
+func max2(a, b float64) float64 {
+	if b > a {
+		return b
+	}
+	return a
 }

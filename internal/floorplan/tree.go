@@ -84,6 +84,10 @@ type TreeStats struct {
 	// Splices is the total number of retained subtrees grafted by
 	// name-keyed diff plans.
 	Splices uint64
+	// MemoHits counts plans served from the permutation-invariant memo
+	// (see SetMemo): the bounding box and bridge count of an area
+	// multiset planned before, with no tree work at all.
+	MemoHits uint64
 }
 
 // MeanRelayoutDepth is the mean number of recomposed tree nodes per
@@ -106,11 +110,12 @@ func (s *TreeStats) Add(o TreeStats) {
 	s.Unchanged += o.Unchanged
 	s.RelayoutNodeSum += o.RelayoutNodeSum
 	s.Splices += o.Splices
+	s.MemoHits += o.MemoHits
 }
 
 // Plans returns the total number of Plan/Update calls the counters cover.
 func (s TreeStats) Plans() uint64 {
-	return s.FastPath + s.DiffFastPath + s.Unchanged + s.Fallbacks + s.DiffFallbacks + s.Rebuilds
+	return s.FastPath + s.DiffFastPath + s.Unchanged + s.MemoHits + s.Fallbacks + s.DiffFallbacks + s.Rebuilds
 }
 
 // ReuseRate returns the fraction of reuse-eligible plans (every plan
@@ -119,18 +124,21 @@ func (s TreeStats) Plans() uint64 {
 // counting first builds and spacing/mode changes in the denominator
 // would conflate "the guard declined" with "reuse was never possible".
 func (s TreeStats) ReuseRate() float64 {
-	eligible := s.FastPath + s.DiffFastPath + s.Unchanged + s.Fallbacks + s.DiffFallbacks
+	served := s.FastPath + s.DiffFastPath + s.Unchanged + s.MemoHits
+	eligible := served + s.Fallbacks + s.DiffFallbacks
 	if eligible == 0 {
 		return 0
 	}
-	return float64(s.FastPath+s.DiffFastPath+s.Unchanged) / float64(eligible)
+	return float64(served) / float64(eligible)
 }
 
 // String renders the one-line summary CLIs print under -progress (the
-// single source of the format, so surfaces cannot drift).
+// single source of the format, so surfaces cannot drift). "memo" counts
+// the plans served from the permutation-invariant memo a long sweep
+// walk arms on identical-die systems; they count as reuse.
 func (s TreeStats) String() string {
-	return fmt.Sprintf("incremental floorplan: %d fast-path / %d diff (%d splices) / %d unchanged / %d+%d fallbacks / %d rebuilds (%.1f%% reuse), mean relayout depth %.1f",
-		s.FastPath, s.DiffFastPath, s.Splices, s.Unchanged, s.Fallbacks, s.DiffFallbacks, s.Rebuilds,
+	return fmt.Sprintf("incremental floorplan: %d fast-path / %d diff (%d splices) / %d unchanged / %d memo / %d+%d fallbacks / %d rebuilds (%.1f%% reuse), mean relayout depth %.1f",
+		s.FastPath, s.DiffFastPath, s.Splices, s.Unchanged, s.MemoHits, s.Fallbacks, s.DiffFallbacks, s.Rebuilds,
 		100*s.ReuseRate(), s.MeanRelayoutDepth())
 }
 
@@ -147,6 +155,7 @@ func (s TreeStats) Delta(prev TreeStats) TreeStats {
 		Unchanged:       s.Unchanged - prev.Unchanged,
 		RelayoutNodeSum: s.RelayoutNodeSum - prev.RelayoutNodeSum,
 		Splices:         s.Splices - prev.Splices,
+		MemoHits:        s.MemoHits - prev.MemoHits,
 	}
 }
 
@@ -170,10 +179,17 @@ type tnode struct {
 // returns (including Placements and Adjacencies) is owned by the Tree
 // and overwritten by the next call.
 type Tree struct {
-	spacing  float64
-	needAdj  bool
-	dimsOnly bool
-	built    bool
+	spacing     float64
+	mode        planMode
+	bridgeRange float64 // modeBridges only: the reach of one bridge
+	built       bool
+	// stale reports that memo hits moved blocks' areas past the retained
+	// plan: blocks is current, while sorted, areas and the slicing tree
+	// still describe the last plan the tree computed.
+	stale bool
+	// uniformAR reports that every block has the same aspect ratio — the
+	// memo's precondition (see SetMemo).
+	uniformAR bool
 
 	blocks []Block // caller order, current areas
 	sorted []Block // sorted (pre-partition) order
@@ -208,18 +224,42 @@ type Tree struct {
 	survBuf     []int   // merge-repair scratch: clean survivors in old sorted order
 	freshBuf    []int   // merge-repair scratch: inserted/dirty blocks by area
 
-	// Adjacency state (needAdj mode only): the final placements of the
-	// previous plan, per-leaf moved flags, and the pairwise verdict
-	// cache indexed i*n+j in leaf order (i < j).
+	// Pair-cache state (modeAdj and modeBridges): the final placements of
+	// the previous plan, per-leaf moved flags, and the pairwise verdict
+	// cache indexed i*n+j in leaf order (i < j) — the facing adjacency
+	// (modeAdj) or its bridge count, 0 when the pair does not face
+	// (modeBridges).
 	prevPlace []Placement
 	moved     []bool
 	pairOK    []bool
 	pairVal   []Adjacency
+	pairCnt   []int
 	adj       []Adjacency
+	bridges   int
+
+	memo memo
 
 	res   Result
 	stats TreeStats
 }
+
+// planMode selects what a Tree plan computes beyond the bounding box.
+type planMode uint8
+
+const (
+	// modeAdj replays placements and builds the sorted adjacency list.
+	modeAdj planMode = iota
+	// modeNoAdj replays placements and skips the adjacency scan.
+	modeNoAdj
+	// modeDims composes the bounding box only.
+	modeDims
+	// modeBridges composes the bounding box and sums the bridge count
+	// off the pair cache; the Result carries no placements.
+	modeBridges
+)
+
+// pairCache reports whether the mode keeps the pairwise facing cache.
+func (m planMode) pairCache() bool { return m == modeAdj || m == modeBridges }
 
 // Stats snapshots the tree's work counters.
 func (t *Tree) Stats() TreeStats { return t.stats }
@@ -230,13 +270,13 @@ func (t *Tree) Stats() TreeStats { return t.stats }
 // name (the name-keyed diff, which splices the surviving subtrees). It
 // is bit-identical to Scratch.Plan on every input.
 func (t *Tree) Plan(blocks []Block, spacingMM float64) (*Result, error) {
-	return t.plan(blocks, spacingMM, true, false)
+	return t.plan(blocks, spacingMM, modeAdj, 0)
 }
 
 // PlanNoAdjacencies is Plan skipping the adjacency scan (the returned
 // Result has nil Adjacencies), mirroring Scratch.PlanNoAdjacencies.
 func (t *Tree) PlanNoAdjacencies(blocks []Block, spacingMM float64) (*Result, error) {
-	return t.plan(blocks, spacingMM, false, false)
+	return t.plan(blocks, spacingMM, modeNoAdj, 0)
 }
 
 // PlanDims is PlanNoAdjacencies skipping the placement replay too: the
@@ -248,10 +288,27 @@ func (t *Tree) PlanNoAdjacencies(blocks []Block, spacingMM float64) (*Result, er
 // fold and its per-leaf bookkeeping are the bulk of a retained plan's
 // cost once the topology is reused.
 func (t *Tree) PlanDims(blocks []Block, spacingMM float64) (*Result, error) {
-	return t.plan(blocks, spacingMM, false, true)
+	return t.plan(blocks, spacingMM, modeDims, 0)
 }
 
-func (t *Tree) plan(blocks []Block, spacingMM float64, needAdj, dimsOnly bool) (*Result, error) {
+// PlanBridges is PlanDims plus the silicon-bridge count of the plan:
+// Σ ceil(OverlapMM / rangeMM) over the adjacencies Plan would list,
+// read by Bridges. The count comes off the tree's pairwise cache (only
+// pairs with a moved rectangle are re-tested) and is an integer sum, so
+// it needs neither the adjacency list, nor block names, nor a sort.
+// The returned Result carries only the bounding box and ChipletAreaMM2.
+func (t *Tree) PlanBridges(blocks []Block, spacingMM, rangeMM float64) (*Result, error) {
+	if !(rangeMM > 0) || math.IsInf(rangeMM, 1) {
+		return nil, fmt.Errorf("floorplan: bridge range %g mm must be positive and finite", rangeMM)
+	}
+	return t.plan(blocks, spacingMM, modeBridges, rangeMM)
+}
+
+// Bridges returns the bridge count of the last PlanBridges plan (or
+// Update after one); 0 in the other modes.
+func (t *Tree) Bridges() int { return t.bridges }
+
+func (t *Tree) plan(blocks []Block, spacingMM float64, mode planMode, rangeMM float64) (*Result, error) {
 	if spacingMM == 0 {
 		spacingMM = DefaultSpacingMM
 	}
@@ -259,42 +316,65 @@ func (t *Tree) plan(blocks []Block, spacingMM float64, needAdj, dimsOnly bool) (
 	if err != nil {
 		return nil, err
 	}
-	if !t.built || t.spacing != spacingMM || t.needAdj != needAdj || t.dimsOnly != dimsOnly {
+	if !t.built || t.spacing != spacingMM || t.mode != mode || t.bridgeRange != rangeMM {
 		t.stats.Rebuilds++
-		t.rebuild(blocks, spacingMM, needAdj, dimsOnly, total)
+		t.rebuild(blocks, spacingMM, mode, rangeMM, total)
 		return &t.res, nil
 	}
 	if !t.sameShape(blocks) {
 		// The block set itself changed (removed, inserted or renamed
 		// blocks): the name-keyed diff splices surviving subtrees; when
-		// it declines, the rebuild is the from-scratch algorithm.
-		if t.planDiff(blocks, total) {
+		// it declines, the rebuild is the from-scratch algorithm. A stale
+		// tree's retained areas no longer match its blocks, which the
+		// diff's survivor match reads, so it rebuilds.
+		if !t.stale && t.planDiff(blocks, total) {
 			return &t.res, nil
 		}
 		t.stats.DiffFallbacks++
-		t.rebuild(blocks, spacingMM, needAdj, dimsOnly, total)
+		t.rebuild(blocks, spacingMM, mode, rangeMM, total)
 		return &t.res, nil
 	}
-	t.changed = t.changed[:0]
 	for i, b := range blocks {
-		if t.blocks[i].AreaMM2 != b.AreaMM2 {
-			t.blocks[i].AreaMM2 = b.AreaMM2
-			sp := t.posOf[i]
-			t.sorted[sp].AreaMM2 = b.AreaMM2
-			t.areas[sp] = b.AreaMM2
+		t.blocks[i].AreaMM2 = b.AreaMM2
+	}
+	if t.memoServe(total) {
+		return &t.res, nil
+	}
+	t.replan(total)
+	return &t.res, nil
+}
+
+// replan re-plans the current blocks (same shape as the retained plan)
+// against the retained state: areas are diffed per sorted position
+// against the areas the tree last planned — not against the previous
+// call's, which memo hits may have skipped — and the changed set goes
+// through the multi-change incremental update, falling back to a
+// rebuild. The result is stored in the memo when it is armed.
+func (t *Tree) replan(total float64) {
+	wasStale := t.stale
+	t.stale = false
+	t.changed = t.changed[:0]
+	for sp := range t.sorted {
+		if a := t.blocks[t.srcIdx[sp]].AreaMM2; t.sorted[sp].AreaMM2 != a {
+			t.sorted[sp].AreaMM2 = a
+			t.areas[sp] = a
 			t.changed = append(t.changed, sp)
 		}
 	}
-	if len(t.changed) == 0 {
+	switch {
+	case len(t.changed) == 0:
 		t.stats.Unchanged++
-		return &t.res, nil
+		if wasStale {
+			// Memo hits overwrote the Result since the tree last planned
+			// these areas; its retained state still holds them.
+			t.restoreResult(total)
+		}
+	case t.update(total):
+	default:
+		t.stats.Fallbacks++
+		t.rebuild(t.blocks, t.spacing, t.mode, t.bridgeRange, total)
 	}
-	if t.update(total) {
-		return &t.res, nil
-	}
-	t.stats.Fallbacks++
-	t.rebuild(t.blocks, spacingMM, needAdj, dimsOnly, total)
-	return &t.res, nil
+	t.memoStore()
 }
 
 // Update re-plans after a single block's area change — the Gray-step
@@ -316,24 +396,33 @@ func (t *Tree) Update(blockIdx int, areaMM2 float64) (*Result, error) {
 		return nil, errBlockArea(b)
 	}
 	if t.blocks[blockIdx].AreaMM2 == areaMM2 {
+		// The Result (memo-served or planned) already describes the
+		// current blocks.
 		t.stats.Unchanged++
 		return &t.res, nil
 	}
 	t.blocks[blockIdx].AreaMM2 = areaMM2
-	sp := t.posOf[blockIdx]
-	t.sorted[sp].AreaMM2 = areaMM2
-	t.areas[sp] = areaMM2
 	// Re-sum the total in caller order: patching it by the area delta
 	// would not carry the bits of the fresh in-order sum.
 	total := 0.0
 	for i := range t.blocks {
 		total += t.blocks[i].AreaMM2
 	}
-	if t.updateOne(sp, total) {
+	if t.memoServe(total) {
 		return &t.res, nil
 	}
-	t.stats.Fallbacks++
-	t.rebuild(t.blocks, t.spacing, t.needAdj, t.dimsOnly, total)
+	if t.stale {
+		t.replan(total)
+		return &t.res, nil
+	}
+	sp := t.posOf[blockIdx]
+	t.sorted[sp].AreaMM2 = areaMM2
+	t.areas[sp] = areaMM2
+	if !t.updateOne(sp, total) {
+		t.stats.Fallbacks++
+		t.rebuild(t.blocks, t.spacing, t.mode, t.bridgeRange, total)
+	}
+	t.memoStore()
 	return &t.res, nil
 }
 
@@ -378,7 +467,7 @@ func (t *Tree) updateOne(sp int, total float64) bool {
 	if !t.sortedOrderOK(sp-1, sp+1) {
 		return false
 	}
-	if t.needAdj {
+	if t.mode.pairCache() {
 		t.prevPlace = append(t.prevPlace[:0], t.place...)
 	}
 	n := len(t.sorted)
@@ -442,7 +531,7 @@ func (t *Tree) update(total float64) bool {
 	if !t.sortedOrderOK(0, len(t.sorted)-1) {
 		return false
 	}
-	if t.needAdj {
+	if t.mode.pairCache() {
 		t.prevPlace = append(t.prevPlace[:0], t.place...)
 	}
 	order := t.walkOrder[:len(t.sorted)]
@@ -597,12 +686,14 @@ func (t *Tree) allocNode(parent int) int {
 
 // rebuild runs the from-scratch algorithm and repopulates every retained
 // cache. blocks may alias t.blocks (the fallback path).
-func (t *Tree) rebuild(blocks []Block, spacing float64, needAdj, dimsOnly bool, total float64) {
+func (t *Tree) rebuild(blocks []Block, spacing float64, mode planMode, rangeMM float64, total float64) {
 	n := len(blocks)
-	t.spacing, t.needAdj, t.dimsOnly = spacing, needAdj, dimsOnly
+	t.spacing, t.mode, t.bridgeRange = spacing, mode, rangeMM
+	t.stale = false
 	if len(t.blocks) != n || &t.blocks[0] != &blocks[0] {
 		t.blocks = append(t.blocks[:0], blocks...)
 	}
+	t.uniformAR = uniformAspect(t.blocks)
 	t.sizeBuffers(n)
 	t.resort(n)
 
@@ -615,7 +706,7 @@ func (t *Tree) rebuild(blocks []Block, spacing float64, needAdj, dimsOnly bool, 
 	t.root = t.build(order, -1, &nextLeaf)
 	t.fillLeafMeta()
 
-	if needAdj {
+	if mode.pairCache() {
 		t.sizeAdj(n)
 		moved := t.moved[:n]
 		for i := range moved {
@@ -627,10 +718,21 @@ func (t *Tree) rebuild(blocks []Block, spacing float64, needAdj, dimsOnly bool, 
 	}
 	t.built = true
 	t.res = Result{}
-	if !t.dimsOnly {
+	t.bridges = 0
+	if mode == modeAdj || mode == modeNoAdj {
 		t.res.Placements = t.place
 	}
 	t.finishResult(total)
+}
+
+// uniformAspect reports whether every block has the same aspect ratio.
+func uniformAspect(blocks []Block) bool {
+	for _, b := range blocks[1:] {
+		if b.AspectRatio != blocks[0].AspectRatio {
+			return false
+		}
+	}
+	return true
 }
 
 // sizeBuffers grows the retained per-block buffers to n and re-slices
@@ -689,10 +791,10 @@ func (t *Tree) resort(n int) {
 }
 
 // fillLeafMeta derives the sorted-pos -> leaf-order map from the built
-// tree and pre-fills the placement names in leaf order (dims-only
-// plans keep just the map — they never materialize placements).
+// tree and pre-fills the placement names in leaf order (dims and bridge
+// plans keep just the map — they never return placements).
 func (t *Tree) fillLeafMeta() {
-	if t.dimsOnly {
+	if t.mode == modeDims || t.mode == modeBridges {
 		for sp := range t.sorted {
 			t.leafPos[sp] = t.nodes[t.leafOf[sp]].lo
 		}
@@ -705,9 +807,13 @@ func (t *Tree) fillLeafMeta() {
 	}
 }
 
-// sizeAdj grows the adjacency pair cache to n leaves.
+// sizeAdj grows the mode's pair cache to n leaves.
 func (t *Tree) sizeAdj(n int) {
-	if cap(t.pairOK) < n*n {
+	if t.mode == modeBridges {
+		if cap(t.pairCnt) < n*n {
+			t.pairCnt = make([]int, n*n)
+		}
+	} else if cap(t.pairOK) < n*n {
 		t.pairOK = make([]bool, n*n)
 		t.pairVal = make([]Adjacency, n*n)
 	}
@@ -838,7 +944,7 @@ func (t *Tree) planDiff(blocks []Block, total float64) bool {
 // already hold the per-new-caller-index retained leaf positions.
 func (t *Tree) rebuildDiff(blocks []Block, total float64) {
 	n := len(blocks)
-	if t.needAdj {
+	if t.mode.pairCache() {
 		// With an unchanged leaf count the moved-rectangle detection can
 		// keep verdicts of pairs whose placements (and names) survive; a
 		// changed count shifts the pair indexing, voiding the cache.
@@ -885,6 +991,7 @@ func (t *Tree) rebuildDiff(blocks []Block, total float64) {
 	}
 
 	t.blocks = append(t.blocks[:0], blocks...)
+	t.uniformAR = uniformAspect(t.blocks)
 	t.sizeBuffers(n)
 	t.sorted = t.sorted[:0]
 	src := t.srcIdx[:n]
@@ -933,7 +1040,7 @@ func (t *Tree) rebuildDiff(blocks []Block, total float64) {
 	t.root = t.buildDiff(order, -1, &nextLeaf, prevRoot)
 	t.fillLeafMeta()
 
-	if t.needAdj {
+	if t.mode.pairCache() {
 		t.sizeAdj(n)
 		if len(t.prevPlace) != n {
 			moved := t.moved[:n]
@@ -943,7 +1050,7 @@ func (t *Tree) rebuildDiff(blocks []Block, total float64) {
 		}
 	}
 	t.res = Result{}
-	if !t.dimsOnly {
+	if t.mode == modeAdj || t.mode == modeNoAdj {
 		t.res.Placements = t.place
 	}
 	t.finishResult(total)
@@ -1077,6 +1184,14 @@ func (t *Tree) ForkDims(r1, r2 int, extra Block) (wMM, hMM, totalMM2 float64, er
 	}
 	if extra.AreaMM2 <= 0 {
 		return 0, 0, 0, errBlockArea(extra)
+	}
+	if t.stale {
+		// The fork reads the retained plan: bring it up to the blocks.
+		total := 0.0
+		for i := range t.blocks {
+			total += t.blocks[i].AreaMM2
+		}
+		t.replan(total)
 	}
 	// The candidate's block-area total, in its caller order (survivors
 	// first, extra appended) — the exact bits of the from-scratch sum.
@@ -1224,17 +1339,17 @@ func (t *Tree) graft(oi, parent, oldLo, base int, seg []int) int {
 }
 
 // finishResult replays the placements, refreshes the Result's scalars
-// in place (the Placements header is wired at rebuild) and, in
-// adjacency mode, rescans the pairs involving moved rectangles.
+// in place (the Placements header is wired at rebuild) and, in the
+// pair-cache modes, re-tests the pairs involving moved rectangles.
 func (t *Tree) finishResult(total float64) {
-	if !t.dimsOnly {
+	if t.mode != modeDims {
 		t.replayPlacements()
 	}
 	root := &t.nodes[t.root]
 	t.res.WidthMM = root.w
 	t.res.HeightMM = root.h
 	t.res.ChipletAreaMM2 = total
-	if !t.needAdj {
+	if !t.mode.pairCache() {
 		return
 	}
 	n := len(t.place)
@@ -1255,6 +1370,21 @@ func (t *Tree) finishResult(total float64) {
 	}
 	const eps = 1e-9
 	maxGap := t.spacing + eps
+	if t.mode == modeBridges {
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if moved[i] || moved[j] {
+					cnt := 0
+					if ov, ok := overlap(t.place[i], t.place[j], maxGap); ok {
+						cnt = int(math.Ceil(ov / t.bridgeRange))
+					}
+					t.pairCnt[i*n+j] = cnt
+				}
+			}
+		}
+		t.bridges = t.sumBridges()
+		return
+	}
 	t.adj = t.adj[:0]
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -1269,4 +1399,31 @@ func (t *Tree) finishResult(total float64) {
 	}
 	t.adj = sortAdjacencies(t.adj)
 	t.res.Adjacencies = t.adj
+}
+
+// sumBridges totals the cached per-pair bridge counts (modeBridges). The
+// terms are integers, so the total does not depend on the pair order —
+// it equals Σ ceil(OverlapMM / range) over the sorted adjacency list.
+func (t *Tree) sumBridges() int {
+	n := len(t.place)
+	sum := 0
+	for i := 0; i < n; i++ {
+		for _, c := range t.pairCnt[i*n+i+1 : (i+1)*n] {
+			sum += c
+		}
+	}
+	return sum
+}
+
+// restoreResult rewrites the Result from the retained plan after memo
+// hits overwrote it: the retained tree, placements and pair cache still
+// describe the current areas, so nothing is recomputed.
+func (t *Tree) restoreResult(total float64) {
+	root := &t.nodes[t.root]
+	t.res.WidthMM = root.w
+	t.res.HeightMM = root.h
+	t.res.ChipletAreaMM2 = total
+	if t.mode == modeBridges {
+		t.bridges = t.sumBridges()
+	}
 }

@@ -16,7 +16,12 @@
 //     tree, whose single-changed-chiplet delta path the Gray-code sweep
 //     walk drives through EstimatePackageDelta), chiplet descriptor
 //     buffer, operational-term memo and the tech.Sandbox for per-sample
-//     node perturbation.
+//     node perturbation. Two memos skip the estimator's floorplan work:
+//     the per-point package memo (keyed by point index, for re-walks)
+//     and, on tables whose chiplets share area columns
+//     (Table.FloorplanMemoSlots), the floorplan tree's permutation-
+//     invariant memo (keyed by the sorted area vector) that a long sweep
+//     walk arms with ArmFloorplanMemo.
 //   - ParamPlan: a compiled plan keyed by perturbed *tech.Node / system
 //     parameters. It tabulates every sub-result of the base point once
 //     and re-evaluates perturbations by recomputing only the sub-models
@@ -166,6 +171,11 @@ type PkgPoint struct {
 // slots through the hash below.
 const pkgPointSlotBits = 12
 
+// PkgPointMemoSlots is the per-point memo's capacity: a plan of at most
+// this many points is memoized whole, so its re-walks never reach the
+// estimator.
+const PkgPointMemoSlots = 1 << pkgPointSlotBits
+
 // pkgPointSlot maps a point index to its memo slot: the identity when
 // the whole point space fits, a Fibonacci-hashed direct-mapped slot
 // otherwise.
@@ -285,6 +295,16 @@ func (sc *Scratch) EstimatePackageDelta(changed int) (*pkgcarbon.Result, error) 
 		return nil, fmt.Errorf("kernel: EstimatePackageDelta on a scratch without a packaging estimator (param-plan or monolith scratch)")
 	}
 	return sc.est.EstimateDelta(sc.pkgCh, changed)
+}
+
+// ArmFloorplanMemo arms the scratch estimator's permutation-invariant
+// floorplan memo with Table.FloorplanMemoSlots entries (see
+// pkgcarbon.Estimator.SetFloorplanMemo); a no-op on scratches without
+// an estimator. Results are bit-identical armed or not.
+func (sc *Scratch) ArmFloorplanMemo(slots int) {
+	if sc.est != nil {
+		sc.est.SetFloorplanMemo(slots)
+	}
 }
 
 // MergeForkable reports whether the scratch estimator supports the

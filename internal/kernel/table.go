@@ -2,10 +2,12 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"ecochip/internal/core"
 	"ecochip/internal/cost"
+	"ecochip/internal/floorplan"
 	"ecochip/internal/tech"
 )
 
@@ -43,6 +45,9 @@ type Table struct {
 	// cols is the struct-of-arrays view of the hot metric columns,
 	// copied bit-for-bit out of Cells/DieUSD by BuildTable (see Cols).
 	cols Cols
+
+	// fpMemoSlots is the floorplan-memo size of FloorplanMemoSlots.
+	fpMemoSlots int
 
 	// Names are the chiplet names for packaging descriptors (nil for
 	// monolith tables).
@@ -223,6 +228,7 @@ func BuildTable(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*T
 		for i, c := range base.Chiplets {
 			t.Names[i] = c.Name
 		}
+		t.fpMemoSlots = memoSlots(t.cols.AreaMM2, nc, len(nodes))
 	}
 	// rows is the die count of every point: nc chiplets, or one merged
 	// die for monolith tables — exactly what assembly charges per.
@@ -232,6 +238,58 @@ func BuildTable(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*T
 	}
 	t.Asm = asm
 	return t, nil
+}
+
+// FloorplanMemoSlots sizes the permutation-invariant floorplan memo
+// (floorplan.Tree.SetMemo) for sweeps over this table: twice the bound
+// Π C(k_g+r−1, r−1) on the distinct sorted area vectors of the sweep,
+// where the chiplets fall into groups of k_g with bit-identical area
+// columns and r is the node count, capped at floorplan.MaxMemoSlots
+// (the slack keeps the hashed table's conflict misses rare). It is 0
+// when no two chiplets share an area column (or for monolith tables):
+// then every point has its own area multiset and a memo would only cost
+// memory.
+func (t *Table) FloorplanMemoSlots() int { return t.fpMemoSlots }
+
+// memoSlots computes FloorplanMemoSlots off the area columns of nc
+// chiplet rows of stride r.
+func memoSlots(areas []float64, nc, r int) int {
+	row := func(i int) []float64 { return areas[i*r : (i+1)*r] }
+	grouped := make([]bool, nc)
+	bound, shared := 1, false
+	for i := 0; i < nc; i++ {
+		if grouped[i] {
+			continue
+		}
+		k := 1
+		for j := i + 1; j < nc; j++ {
+			if !grouped[j] && sameBits(row(i), row(j)) {
+				grouped[j] = true
+				k++
+			}
+		}
+		shared = shared || k > 1
+		// C(k+r-1, r-1) multisets of size k over r nodes, built up by
+		// the exact recurrence C(k+m, m) = C(k+m-1, m-1)·(k+m)/m.
+		c := 1
+		for m := 1; m < r; m++ {
+			c = c * (k + m) / m
+		}
+		bound = min(bound*c, floorplan.MaxMemoSlots)
+	}
+	if !shared {
+		return 0
+	}
+	return min(2*bound, floorplan.MaxMemoSlots)
+}
+
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewScratch builds a per-worker sweep arena sized for this table.

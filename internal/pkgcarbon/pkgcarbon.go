@@ -225,8 +225,8 @@ func (p Params) Validate() error {
 	if p.BridgeLayers < 3 || p.BridgeLayers > 4 {
 		return fmt.Errorf("pkgcarbon: bridge layers %d outside Table I range [3, 4]", p.BridgeLayers)
 	}
-	if p.BridgeRangeMM <= 0 || p.BridgeAreaMM2 <= 0 {
-		return fmt.Errorf("pkgcarbon: bridge range and area must be positive")
+	if !(p.BridgeRangeMM > 0) || math.IsInf(p.BridgeRangeMM, 1) || !(p.BridgeAreaMM2 > 0) {
+		return fmt.Errorf("pkgcarbon: bridge range and area must be positive and finite")
 	}
 	if p.BridgeEmbedEnergyKWh < 0 {
 		return fmt.Errorf("pkgcarbon: bridge embed energy must be non-negative")
@@ -335,15 +335,20 @@ func Estimate(chiplets []Chiplet, p Params) (*Result, error) {
 // calls differ only in block areas, the plan is served by an
 // incremental relayout of the dirty leaf-to-root paths (bit-identical
 // to a from-scratch plan by the tree's guard), and EstimateDelta is the
-// explicit single-changed-chiplet seam a Gray-code sweep step uses.
+// explicit single-changed-chiplet seam a Gray-code sweep step uses. The
+// silicon-bridge model reads only the bridge count of Eq. (10), so the
+// bridge path takes it from the tree's pairwise cache
+// (floorplan.Tree.PlanBridges) without building, naming or sorting an
+// adjacency list. SetFloorplanMemo arms the tree's permutation-
+// invariant memo for sweeps over identical dies.
 //
 // An Estimator is NOT safe for concurrent use; give each worker its own.
 // The Result returned by Estimate (including its Floorplan) is owned by
-// the Estimator and overwritten by the next call; for non-bridge
-// architectures the Floorplan carries only the bounding box and totals
-// (nil Placements and Adjacencies), which is all any non-bridge model
-// consumes — use the package-level Estimate when placements are needed
-// for rendering.
+// the Estimator and overwritten by the next call; for fixed-shape
+// floorplans the Floorplan carries only the bounding box and totals
+// (nil Placements and Adjacencies), which is all any model consumes —
+// use the package-level Estimate when placements or adjacencies are
+// needed for rendering.
 type Estimator struct {
 	p  Params
 	sc scratch
@@ -363,6 +368,15 @@ func NewEstimator(p Params) (*Estimator, error) {
 func (e *Estimator) Estimate(chiplets []Chiplet) (*Result, error) {
 	return estimateWith(chiplets, &e.p, &e.sc)
 }
+
+// SetFloorplanMemo arms the retained floorplan tree's permutation-
+// invariant memo with room for slots entries, or disarms it with 0 (see
+// floorplan.Tree.SetMemo). A memo hit serves the bounding box and bridge
+// count of an area multiset planned before, so it pays off on sweeps
+// whose identical dies revisit one multiset under many permutations of
+// their nodes. Flexible floorplans and 3D stacks never use it. The
+// results are bit-identical either way.
+func (e *Estimator) SetFloorplanMemo(slots int) { e.sc.fp.SetMemo(slots) }
 
 // EstimateDelta is Estimate when only chiplets[changed] differs (in
 // area and/or node) from the chiplet set of the previous call on this
@@ -411,10 +425,34 @@ func (e *Estimator) EstimateDelta(chiplets []Chiplet, changed int) (*Result, err
 	// the fields it never writes were zeroed by the first full estimate
 	// and can never have been set since.
 	res := &sc.res
-	if err := finishEstimate(res, chiplets, &e.p, fp, sc); err != nil {
+	if err := finishEstimate(res, chiplets, &e.p, fp, bridgeCount(&e.p, fp, sc), sc); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// bridgeCount is the Eq. (10) bridge count of the plan fp: off the
+// scratch's fixed-shape tree, which planned fp in count mode, or summed
+// over fp's adjacency list (flexible or scratch-free plans). Zero for
+// other architectures.
+func bridgeCount(p *Params, fp *floorplan.Result, sc *scratch) int {
+	switch {
+	case p.Arch != SiliconBridge:
+		return 0
+	case sc != nil && !p.FlexibleFloorplan:
+		return sc.fp.Bridges()
+	}
+	return countBridges(fp.Adjacencies, p.BridgeRangeMM)
+}
+
+// countBridges is Eq. (10)'s count over an adjacency list: one bridge
+// per BridgeRangeMM of each shared edge, rounded up.
+func countBridges(adjs []floorplan.Adjacency, rangeMM float64) int {
+	n := 0
+	for _, adj := range adjs {
+		n += int(math.Ceil(adj.OverlapMM / rangeMM))
+	}
+	return n
 }
 
 // MergeForkable reports whether this estimator can serve
@@ -470,7 +508,7 @@ func (e *Estimator) EstimateMergeFork(r1, r2 int, merged Chiplet) (*Result, erro
 	// candidate bounding boxes essentially never repeat within a search,
 	// so the memo would only pay hashing and growth. The model is pure
 	// in the area, so the bits cannot differ from the memoized path.
-	if err := runArchModel(res, nil, &e.p, &sc.forkFP); err != nil {
+	if err := runArchModel(res, nil, &e.p, 0, sc); err != nil {
 		return nil, err
 	}
 	dies := n - 1
@@ -567,15 +605,16 @@ func (e *Estimator) PrimeMergeBase(chiplets []Chiplet) error {
 	return err
 }
 
-// FloorplanStats snapshots the retained floorplan trees' reuse counters
-// (fast-path hits, name-keyed diff hits, fallbacks, relayout depth) —
-// the fixed-shape tree's and the shape-curve tree's folded together (an
-// estimator only ever drives one of them, per its FlexibleFloorplan
-// setting).
+// FloorplanStats snapshots the retained floorplan tree's reuse counters
+// (fast-path hits, name-keyed diff hits, memo hits, fallbacks, relayout
+// depth): the shape-curve tree's for flexible floorplans, the
+// fixed-shape tree's otherwise (an estimator only ever drives the one
+// its FlexibleFloorplan setting selects).
 func (e *Estimator) FloorplanStats() floorplan.TreeStats {
-	s := e.sc.fp.Stats()
-	s.Add(e.sc.fpx.Stats())
-	return s
+	if e.p.FlexibleFloorplan {
+		return e.sc.fpx.Stats()
+	}
+	return e.sc.fp.Stats()
 }
 
 // Routing is the communication slice of a packaging Result: the only
@@ -669,6 +708,10 @@ type scratch struct {
 	// strictly positive, so its bit pattern is never zero. Lazy.
 	pkgKeys  []uint64
 	pkgCells []pkgCell
+	// bridgeY and bridgeKWh are the per-bridge yield and energy of the
+	// silicon-bridge model: constants under fixed params, computed by
+	// the first bridge estimate (bridgeY 0 = not yet).
+	bridgeY, bridgeKWh float64
 }
 
 func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
@@ -715,8 +758,7 @@ func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
 	case p.FlexibleFloorplan:
 		fp, err = floorplan.PlanFlexible(blocks, p.SpacingMM, nil)
 	case sc != nil && p.Arch != SiliconBridge:
-		// Only the bridge model reads adjacencies or placements; every
-		// other architecture consumes just the bounding box, so the
+		// Only the bridge model reads more than the bounding box, so the
 		// scratch path plans dims-only — no pairwise scan, no placement
 		// replay — keeping the per-estimate cost flat in the chiplet
 		// count. The retained tree turns repeat plans over the same
@@ -724,7 +766,9 @@ func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
 		// into name-keyed diffs.
 		fp, err = sc.fp.PlanDims(blocks, p.SpacingMM)
 	case sc != nil:
-		fp, err = sc.fp.Plan(blocks, p.SpacingMM)
+		// The bridge model reads only the bridge count, which the tree
+		// sums off its pair cache.
+		fp, err = sc.fp.PlanBridges(blocks, p.SpacingMM, p.BridgeRangeMM)
 	default:
 		fp, err = floorplan.Plan(blocks, p.SpacingMM)
 	}
@@ -732,7 +776,7 @@ func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
 		return nil, err
 	}
 	res := newResult(sc)
-	if err := finishEstimate(res, chiplets, p, fp, sc); err != nil {
+	if err := finishEstimate(res, chiplets, p, fp, bridgeCount(p, fp, sc), sc); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -742,13 +786,14 @@ func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
 // package-carbon model, the attach term and the communication overhead.
 // It is shared by the full path, the single-changed-chiplet delta path
 // and EstimateOnFloorplan, so the float expressions (and their order)
-// cannot diverge between them.
-func finishEstimate(res *Result, chiplets []Chiplet, p *Params, fp *floorplan.Result, sc *scratch) error {
+// cannot diverge between them. bridges is the plan's bridge count
+// (read by the silicon-bridge model only).
+func finishEstimate(res *Result, chiplets []Chiplet, p *Params, fp *floorplan.Result, bridges int, sc *scratch) error {
 	res.Arch = p.Arch
 	res.PackageAreaMM2 = fp.AreaMM2()
 	res.WhitespaceMM2 = fp.WhitespaceMM2()
 	res.Floorplan = fp
-	// The bridge model reads the adjacency list, so only the three
+	// The bridge model reads the bridge count, so only the three
 	// area-pure architectures go through the scratch's per-area memo
 	// (the memoized triple carries the exact bits the model computes —
 	// it is a pure function of the area under fixed params).
@@ -767,7 +812,7 @@ func finishEstimate(res *Result, chiplets []Chiplet, p *Params, fp *floorplan.Re
 			res.PackageKg = cell.packageKg
 			res.NumBonds = cell.numBonds
 		} else {
-			if err := runArchModel(res, chiplets, p, fp); err != nil {
+			if err := runArchModel(res, chiplets, p, bridges, sc); err != nil {
 				return err
 			}
 			sc.pkgKeys[slot] = key
@@ -777,7 +822,7 @@ func finishEstimate(res *Result, chiplets []Chiplet, p *Params, fp *floorplan.Re
 				numBonds:      res.NumBonds,
 			}
 		}
-	} else if err := runArchModel(res, chiplets, p, fp); err != nil {
+	} else if err := runArchModel(res, chiplets, p, bridges, sc); err != nil {
 		return err
 	}
 	// Per-chiplet attach energy, charged through the assembly yield so
@@ -789,12 +834,12 @@ func finishEstimate(res *Result, chiplets []Chiplet, p *Params, fp *floorplan.Re
 
 // runArchModel dispatches the architecture-specific package-carbon
 // model (the memoizable slice of finishEstimate).
-func runArchModel(res *Result, chiplets []Chiplet, p *Params, fp *floorplan.Result) error {
+func runArchModel(res *Result, chiplets []Chiplet, p *Params, bridges int, sc *scratch) error {
 	switch p.Arch {
 	case RDLFanout:
 		return estimateRDL(res, p)
 	case SiliconBridge:
-		return estimateBridge(res, fp, p)
+		return estimateBridge(res, bridges, p, sc)
 	case PassiveInterposer:
 		return estimateInterposer(res, chiplets, p, false)
 	case ActiveInterposer:
@@ -835,7 +880,7 @@ func EstimateOnFloorplan(chiplets []Chiplet, p Params, fp *floorplan.Result) (*R
 		return nil, fmt.Errorf("pkgcarbon: EstimateOnFloorplan needs a floorplan of all %d chiplets", len(chiplets))
 	}
 	res := &Result{}
-	if err := finishEstimate(res, chiplets, &p, fp, nil); err != nil {
+	if err := finishEstimate(res, chiplets, &p, fp, bridgeCount(&p, fp, nil), nil); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -874,21 +919,26 @@ const rdlDefectDerate = 0.25
 const bridgeDefectMultiplier = 8
 
 // estimateBridge implements Eq. (10): one bridge per 2 mm of shared edge
-// between adjacent chiplets, each carrying patterning plus embedding
-// energy over the bridge yield.
-func estimateBridge(res *Result, fp *floorplan.Result, p *Params) error {
-	n := 0
-	for _, adj := range fp.Adjacencies {
-		n += int(math.Ceil(adj.OverlapMM / p.BridgeRangeMM))
-	}
+// between adjacent chiplets (n, see countBridges), each carrying
+// patterning plus embedding energy over the bridge yield. The per-bridge
+// yield and energy depend on the params alone, so a scratch keeps them.
+func estimateBridge(res *Result, n int, p *Params, sc *scratch) error {
 	if n == 0 {
 		return fmt.Errorf("pkgcarbon: EMIB floorplan produced no adjacent chiplet pairs")
 	}
 	res.NumBridges = n
-	y := yieldmodel.Die(p.BridgeAreaMM2, p.PackagingNode.DefectDensity*bridgeDefectMultiplier)
-	y = yieldmodel.Layered(y, p.BridgeLayers)
+	var y, perBridgeEnergy float64
+	if sc != nil && sc.bridgeY > 0 {
+		y, perBridgeEnergy = sc.bridgeY, sc.bridgeKWh
+	} else {
+		y = yieldmodel.Die(p.BridgeAreaMM2, p.PackagingNode.DefectDensity*bridgeDefectMultiplier)
+		y = yieldmodel.Layered(y, p.BridgeLayers)
+		perBridgeEnergy = float64(p.BridgeLayers)*p.PackagingNode.EPLABridge*(p.BridgeAreaMM2/100) + p.BridgeEmbedEnergyKWh
+		if sc != nil {
+			sc.bridgeY, sc.bridgeKWh = y, perBridgeEnergy
+		}
+	}
 	res.AssemblyYield = y
-	perBridgeEnergy := float64(p.BridgeLayers)*p.PackagingNode.EPLABridge*(p.BridgeAreaMM2/100) + p.BridgeEmbedEnergyKWh
 	res.PackageKg = float64(n) * perBridgeEnergy * p.CarbonIntensity / y
 	return nil
 }

@@ -74,6 +74,9 @@ func TestValidateRejects(t *testing.T) {
 		{"RDL layers high", func(p *Params) { p.RDLLayers = 15 }},
 		{"bridge layers", func(p *Params) { p.BridgeLayers = 7 }},
 		{"bridge range", func(p *Params) { p.BridgeRangeMM = 0 }},
+		{"NaN bridge range", func(p *Params) { p.BridgeRangeMM = math.NaN() }},
+		{"infinite bridge range", func(p *Params) { p.BridgeRangeMM = math.Inf(1) }},
+		{"NaN bridge area", func(p *Params) { p.BridgeAreaMM2 = math.NaN() }},
 		{"embed energy", func(p *Params) { p.BridgeEmbedEnergyKWh = -1 }},
 		{"interposer layers", func(p *Params) { p.InterposerBEOLLayers = 0 }},
 		{"TSV pitch", func(p *Params) { p.Bond = TSV; p.BondPitchUM = 100 }},

@@ -2,9 +2,13 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
+
+	"ecochip/internal/explore"
 )
 
 // chaosSchedules returns the per-replica fault schedules of one chaos
@@ -34,15 +38,15 @@ func TestChaosParity(t *testing.T) {
 		trials = 2
 	}
 	for trial := 0; trial < trials; trial++ {
-		plan, cat, key := testSweep(t, rng)
+		plan, cat, key := chaosSweep(t, rng)
 		want, err := plan.RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		cfg := fastCfg()
-		cfg.BlockSize = 4 + rng.Intn(24)
-		cfg.LeaseBlocks = 1 + rng.Intn(4)
+		cfg.LeaseBlocks = 1 + rng.Intn(maxChaosLeaseBlocks)
+		cfg.BlockSize = chaosBlockSize(rng, plan.Combos(), chaosReplicas, cfg.LeaseBlocks)
 		cfg.Seed = rng.Int63()
 		if trial%2 == 1 {
 			// Half the trials also force lease expiry on the delayed replica.
@@ -51,6 +55,9 @@ func TestChaosParity(t *testing.T) {
 		var transports []Transport
 		for _, spec := range chaosSchedules(rng) {
 			transports = append(transports, Fault(NewReplica(cat), spec))
+		}
+		if len(transports) != chaosReplicas {
+			t.Fatalf("chaosSchedules built %d replicas, chaosReplicas says %d", len(transports), chaosReplicas)
 		}
 
 		co := NewCoordinator(plan, key, transports, cfg)
@@ -90,6 +97,7 @@ func TestChaosParity(t *testing.T) {
 		sawDup = sawDup || st.BlocksDeduped > 0 || sf.BlocksDeduped > 0
 		sawRequeue = sawRequeue || st.BlocksRequeued > 0 || sf.BlocksRequeued > 0
 	}
+	sawCrash = deterministicCrashTrial(t, rng) || sawCrash
 	// The suite's guarantees are only meaningful if the schedules
 	// actually exercised the recovery paths.
 	if !sawCrash {
@@ -101,4 +109,96 @@ func TestChaosParity(t *testing.T) {
 	if !sawRequeue {
 		t.Error("no trial re-leased a block")
 	}
+}
+
+const (
+	// chaosReplicas is the replica count of a chaos trial (one per
+	// chaosSchedules entry).
+	chaosReplicas = 4
+	// maxChaosLeaseBlocks bounds a chaos trial's LeaseBlocks draw.
+	maxChaosLeaseBlocks = 4
+)
+
+// chaosSweep draws test sweeps until one has enough points to give
+// every replica of a chaos trial a lease of the largest size with
+// blocks to spare (see chaosBlockSize).
+func chaosSweep(t *testing.T, rng *rand.Rand) (*explore.CompiledPlan, *Catalog, string) {
+	t.Helper()
+	minPoints := chaosReplicas*maxChaosLeaseBlocks + 1
+	for {
+		plan, cat, key := testSweep(t, rng)
+		if plan.Combos() >= minPoints {
+			return plan, cat, key
+		}
+	}
+}
+
+// chaosBlockSize draws a block size from the plan's point count such
+// that the plan splits into more blocks than transports × leaseBlocks:
+// all replicas together cannot hold every block in their first leases.
+func chaosBlockSize(rng *rand.Rand, points, transports, leaseBlocks int) int {
+	return 1 + rng.Intn(points/(transports*leaseBlocks+1))
+}
+
+// deterministicCrashTrial sweeps over a replica that crashes on its
+// first delivered block beside a healthy replica that holds its leases
+// until the crash has surfaced. The plan has more blocks than the
+// healthy replica can hold, so the crashing replica is leased a block
+// whatever the scheduling: the crash, the retirement and the re-lease
+// of its block happen on every run. It reports whether the coordinator
+// counted the lost replica; the output must stay bit-identical.
+func deterministicCrashTrial(t *testing.T, rng *rand.Rand) bool {
+	t.Helper()
+	plan, cat, key := chaosSweep(t, rng)
+	want, err := plan.RunCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastCfg()
+	cfg.LeaseBlocks = 1 + rng.Intn(maxChaosLeaseBlocks)
+	cfg.BlockSize = chaosBlockSize(rng, plan.Combos(), 2, cfg.LeaseBlocks)
+	crashing := &signalDown{inner: Fault(NewReplica(cat), FaultSpec{Seed: rng.Int63(), CrashAfter: 1}), down: make(chan struct{})}
+	held := &holdUntil{inner: NewReplica(cat), ready: crashing.down}
+	co := NewCoordinator(plan, key, []Transport{crashing, held}, cfg)
+	got, err := co.Sweep(context.Background())
+	if err != nil {
+		t.Fatalf("deterministic crash trial: %v", err)
+	}
+	assertSamePoints(t, want, got, "deterministic crash sweep")
+	st := co.Stats()
+	if st.ReplicasLost != 1 || st.Fallbacks != 0 {
+		t.Fatalf("deterministic crash trial stats = %+v, want exactly the crashing replica lost and no fallback", st)
+	}
+	return st.ReplicasLost > 0
+}
+
+// signalDown closes down once its inner transport reports the replica
+// down.
+type signalDown struct {
+	inner Transport
+	once  sync.Once
+	down  chan struct{}
+}
+
+func (s *signalDown) Execute(ctx context.Context, lease Lease, emit func(BlockResult) error) error {
+	err := s.inner.Execute(ctx, lease, emit)
+	if errors.Is(err, ErrReplicaDown) {
+		s.once.Do(func() { close(s.down) })
+	}
+	return err
+}
+
+// holdUntil holds every lease until ready closes, then executes it.
+type holdUntil struct {
+	inner Transport
+	ready <-chan struct{}
+}
+
+func (h *holdUntil) Execute(ctx context.Context, lease Lease, emit func(BlockResult) error) error {
+	select {
+	case <-h.ready:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return h.inner.Execute(ctx, lease, emit)
 }
