@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ecochip/internal/core"
@@ -61,7 +62,7 @@ type memoCase struct {
 // path bit-identical to the per-point reference on identical-die
 // systems of every architecture, with plans past the per-point memo's
 // capacity (so the walk arms the floorplan memo): RunCtx, ParetoFrontCtx
-// and WalkRange in long (armed) and short segments. One plan has more
+// and WalkRange over armed segments and single points. One plan has more
 // distinct area multisets than memo slots, so evictions and collision
 // recomputes run too; and the memo must actually serve hits, so the
 // parity cannot hold vacuously.
@@ -131,15 +132,15 @@ func TestFloorplanMemoMatchesReferenceRandomized(t *testing.T) {
 			}
 		}
 
-		// Segments of shard-lease and whole-walk sizes, in shuffled
-		// order, the short ones below the arming length.
+		// Single points (below the arming length) and segments of up to
+		// two shard blocks, in shuffled order.
 		var cuts []int
 		for k := 0; k < plan.Combos(); {
 			cuts = append(cuts, k)
-			if rng.Intn(2) == 0 {
-				k += 1 + rng.Intn(64)
+			if rng.Intn(4) == 0 {
+				k++
 			} else {
-				k += minMemoWalk + rng.Intn(minMemoWalk)
+				k += minMemoWalk + rng.Intn(1024)
 			}
 		}
 		cuts = append(cuts, plan.Combos())
@@ -165,6 +166,56 @@ func TestFloorplanMemoMatchesReferenceRandomized(t *testing.T) {
 		if st := plan.Stats(); c.arch != pkgcarbon.ThreeD && st.Floorplan.MemoHits == 0 {
 			t.Fatalf("%s: the floorplan memo served no hit: %v", label, st.Floorplan)
 		}
+	}
+}
+
+// A single-point walk (an EvalPoint what-if) never arms the memo: every
+// permutation of the identical dies' nodes is one area multiset, which an
+// armed scratch would serve from the memo after its first point.
+func TestFloorplanMemoSkipsSinglePoints(t *testing.T) {
+	d := db()
+	rng := rand.New(rand.NewSource(5))
+	nodes := []int{7, 14, 28}
+	base := identicalDieSystem(rng, d, pkgcarbon.SiliconBridge, 8, 6)
+	plan, err := Compile(base, d, nodes, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Combos() <= kernel.PkgPointMemoSlots || plan.fpMemoSlots == 0 {
+		t.Fatalf("%d points, %d memo slots: the plan would not arm the memo on a multi-point walk", plan.Combos(), plan.fpMemoSlots)
+	}
+	want, err := NodeSweepReference(context.Background(), base, d, nodes, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The identical dies take one 28 nm node in turn; the others stay put.
+	assignment := make([]int, len(base.Chiplets))
+	for i := range assignment {
+		assignment[i] = nodes[i%2]
+	}
+	for k := 0; k < 6; k++ {
+		a := append([]int(nil), assignment...)
+		for i := 0; i < 6; i++ {
+			a[i] = 7
+		}
+		a[k] = 28
+		pt, err := plan.EvalPoint(context.Background(), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, w := range want {
+			if slices.Equal(w.Nodes, a) {
+				found = pointsBitIdentical(pt, w)
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("EvalPoint %v differs from the reference", a)
+		}
+	}
+	if st := plan.Stats(); st.Floorplan.MemoHits != 0 {
+		t.Fatalf("single-point walks served memo hits: %v", st.Floorplan)
 	}
 }
 

@@ -427,11 +427,31 @@ func (sc *blockScratch) refreshRow(c *kernel.Cols, i, d int) {
 	sc.rowNREUSD[i] = c.NREUSD[d]
 }
 
-// getScratch takes a pooled worker scratch or builds a fresh one.
-func (p *CompiledPlan) getScratch() (*blockScratch, error) {
-	if v := p.scratches.Get(); v != nil {
-		return v.(*blockScratch), nil
+// getScratch takes a pooled worker scratch or builds a fresh one, and
+// readies its memos for a walk of n points: the per-point package memo
+// sized to the walk, the floorplan memo armed on walks of at least
+// minMemoWalk points of plans that sized one. (Done here rather than in
+// walkBlock, whose stack frame is kept small: a larger one forces a
+// goroutine stack copy per RunBlocks worker.)
+func (p *CompiledPlan) getScratch(n int) (*blockScratch, error) {
+	sc, _ := p.scratches.Get().(*blockScratch)
+	if sc == nil {
+		var err error
+		if sc, err = p.newScratch(); err != nil {
+			return nil, err
+		}
 	}
+	if !p.monolith {
+		sc.sc.SizePackagePointMemo(uint64(p.combos), uint64(n))
+	}
+	if p.fpMemoSlots > 0 && n >= minMemoWalk {
+		sc.sc.ArmFloorplanMemo(p.fpMemoSlots)
+	}
+	return sc, nil
+}
+
+// newScratch builds a worker scratch for the plan.
+func (p *CompiledPlan) newScratch() (*blockScratch, error) {
 	ksc, err := p.tbl.NewScratch()
 	if err != nil {
 		return nil, err
@@ -467,10 +487,12 @@ func (p *CompiledPlan) putScratch(sc *blockScratch) {
 	p.scratches.Put(sc)
 }
 
-// minMemoWalk is the shortest walk that arms the floorplan memo: a
-// shorter one (a what-if point, a shard lease) revisits too few area
-// multisets to repay the table it would allocate.
-const minMemoWalk = 1024
+// minMemoWalk is the shortest walk that arms the floorplan memo. Only
+// a single-point walk (an EvalPoint what-if) stays unarmed: it would
+// allocate the table for one lookup. The table lives in the pooled
+// scratch and keeps its entries across walks, so short walks such as a
+// shard replica's 512-point blocks share it and do repay it.
+const minMemoWalk = 2
 
 // walkBlock walks the Gray-code segment [lo, hi) of the combination
 // sequence, streaming each evaluated point (and its output slot) to
@@ -479,14 +501,11 @@ const minMemoWalk = 1024
 // through the kernel scratch's delta path: the retained floorplan tree
 // relayouts only that chiplet's dirty path instead of re-planning.
 func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx int, pt *Point) error, tick func()) error {
-	sc, err := p.getScratch()
+	sc, err := p.getScratch(hi - lo)
 	if err != nil {
 		return err
 	}
 	defer p.putScratch(sc)
-	if p.fpMemoSlots > 0 && hi-lo >= minMemoWalk {
-		sc.sc.ArmFloorplanMemo(p.fpMemoSlots)
-	}
 
 	p.grayInit(lo, sc)
 	pkgCh := sc.sc.Chiplets()

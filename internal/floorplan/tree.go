@@ -134,8 +134,9 @@ func (s TreeStats) ReuseRate() float64 {
 
 // String renders the one-line summary CLIs print under -progress (the
 // single source of the format, so surfaces cannot drift). "memo" counts
-// the plans served from the permutation-invariant memo a long sweep
-// walk arms on identical-die systems; they count as reuse.
+// the plans served from the permutation-invariant memo a sweep
+// walk of more than one point arms on identical-die systems of more
+// than 4096 points; they count as reuse.
 func (s TreeStats) String() string {
 	return fmt.Sprintf("incremental floorplan: %d fast-path / %d diff (%d splices) / %d unchanged / %d memo / %d+%d fallbacks / %d rebuilds (%.1f%% reuse), mean relayout depth %.1f",
 		s.FastPath, s.DiffFastPath, s.Splices, s.Unchanged, s.MemoHits, s.Fallbacks, s.DiffFallbacks, s.Rebuilds,

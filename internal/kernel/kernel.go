@@ -20,8 +20,8 @@
 //     the per-point package memo (keyed by point index, for re-walks)
 //     and, on tables whose chiplets share area columns
 //     (Table.FloorplanMemoSlots), the floorplan tree's permutation-
-//     invariant memo (keyed by the sorted area vector) that a long sweep
-//     walk arms with ArmFloorplanMemo.
+//     invariant memo (keyed by the sorted area vector) that every sweep
+//     walk of more than one point arms with ArmFloorplanMemo.
 //   - ParamPlan: a compiled plan keyed by perturbed *tech.Node / system
 //     parameters. It tabulates every sub-result of the base point once
 //     and re-evaluates perturbations by recomputing only the sub-models
@@ -97,12 +97,14 @@ type Scratch struct {
 	// point space outgrows the slot table the index hashes to a
 	// direct-mapped slot and a collision simply recomputes (the memo
 	// serves the estimator's own prior output, so it cannot change a
-	// bit either way). Lazy: sized by the first StorePackagePoint.
-	pkgPtKeys []uint64
-	pkgPtVals []PkgPoint
-	pkgPtSpan uint64 // point-space size the slots were sized for
-	pkgPtLive int    // occupied slots (gauge; resets with the table)
-	pkgPtStat PkgMemoStats
+	// bit either way). Lazy: sized by SizePackagePointMemo or the first
+	// StorePackagePoint.
+	pkgPtKeys  []uint64
+	pkgPtVals  []PkgPoint
+	pkgPtSpan  uint64 // point-space size the slots were sized for
+	pkgPtShift uint   // hashed tables: log2(PkgPointMemoSlots/len(pkgPtKeys))
+	pkgPtLive  int    // occupied slots (gauge; resets with the table)
+	pkgPtStat  PkgMemoStats
 }
 
 // PkgMemoStats counts the traffic of the per-point package memo. The
@@ -176,14 +178,50 @@ const pkgPointSlotBits = 12
 // estimator.
 const PkgPointMemoSlots = 1 << pkgPointSlotBits
 
-// pkgPointSlot maps a point index to its memo slot: the identity when
-// the whole point space fits, a Fibonacci-hashed direct-mapped slot
-// otherwise.
+// minPkgPointSlots is the smallest hashed per-point table
+// (SizePackagePointMemo).
+const minPkgPointSlots = 64
+
+// pkgPointSlot maps a point index to its slot in a full-size memo: the
+// identity when the whole point space fits, a Fibonacci-hashed
+// direct-mapped slot otherwise.
 func pkgPointSlot(idx, span uint64) uint64 {
 	if span <= 1<<pkgPointSlotBits {
 		return idx
 	}
 	return idx * 0x9e3779b97f4a7c15 >> (64 - pkgPointSlotBits)
+}
+
+// pkgSlot is pkgPointSlot in this scratch's table, which a short walk
+// over a large point space may have sized below the cap: the hash's top
+// bits, as many as the table has.
+func (sc *Scratch) pkgSlot(idx uint64) uint64 {
+	return pkgPointSlot(idx, sc.pkgPtSpan) >> sc.pkgPtShift
+}
+
+// SizePackagePointMemo sizes the per-point memo for a walk of n points
+// in a span-point space. A space the memo holds whole keeps its
+// identity-mapped table, sized by the first StorePackagePoint. A larger
+// space gets a hashed table of n slots, rounded up to a power of two
+// between minPkgPointSlots and PkgPointMemoSlots, grown (and emptied) by
+// a later, longer walk: a single what-if point of a large plan then
+// costs a table of minPkgPointSlots entries instead of the full 160 KiB.
+func (sc *Scratch) SizePackagePointMemo(span, n uint64) {
+	if span <= 1<<pkgPointSlotBits {
+		return
+	}
+	slots, shift := uint64(1)<<pkgPointSlotBits, uint(0)
+	for slots > minPkgPointSlots && slots/2 >= n {
+		slots /= 2
+		shift++
+	}
+	if sc.pkgPtSpan == span && uint64(len(sc.pkgPtKeys)) >= slots {
+		return
+	}
+	sc.pkgPtKeys = make([]uint64, slots)
+	sc.pkgPtVals = make([]PkgPoint, slots)
+	sc.pkgPtSpan, sc.pkgPtShift = span, shift
+	sc.pkgPtLive = 0
 }
 
 // LoadPackagePoint returns the memoized package quadruple of point
@@ -194,7 +232,7 @@ func (sc *Scratch) LoadPackagePoint(idx, span uint64) (PkgPoint, bool) {
 		sc.pkgPtStat.Misses++
 		return PkgPoint{}, false
 	}
-	slot := pkgPointSlot(idx, span)
+	slot := sc.pkgSlot(idx)
 	if key := sc.pkgPtKeys[slot]; key != idx+1 {
 		sc.pkgPtStat.Misses++
 		if key != 0 {
@@ -217,10 +255,10 @@ func (sc *Scratch) StorePackagePoint(idx, span uint64, v PkgPoint) {
 		}
 		sc.pkgPtKeys = make([]uint64, n)
 		sc.pkgPtVals = make([]PkgPoint, n)
-		sc.pkgPtSpan = span
+		sc.pkgPtSpan, sc.pkgPtShift = span, 0
 		sc.pkgPtLive = 0
 	}
-	slot := pkgPointSlot(idx, span)
+	slot := sc.pkgSlot(idx)
 	switch key := sc.pkgPtKeys[slot]; {
 	case key == 0:
 		sc.pkgPtStat.Fills++

@@ -111,3 +111,49 @@ func TestPkgMemoStatsNoCollisionsWithinSlotCapacity(t *testing.T) {
 		t.Errorf("Hits/Misses = %d/%d, want %d/%d", s.Hits, s.Misses, span, span)
 	}
 }
+
+// A walk over a point space the memo cannot hold whole sizes the table
+// to the walk: a single point gets the smallest table, a longer walk
+// grows (and empties) it, a shorter one keeps it. A space the memo holds
+// whole keeps its identity-mapped table.
+func TestPkgMemoSizedToTheWalk(t *testing.T) {
+	sc := &Scratch{}
+	span := uint64(1) << (pkgPointSlotBits + 2)
+	sc.SizePackagePointMemo(span, 1)
+	sc.StorePackagePoint(7, span, PkgPoint{HIKg: 7})
+	if occ, cap := sc.PkgMemoOccupancy(); occ != 1 || cap != minPkgPointSlots {
+		t.Fatalf("single-point walk: occupancy = %d/%d, want 1/%d", occ, cap, minPkgPointSlots)
+	}
+	sc.SizePackagePointMemo(span, 1)
+	if v, ok := sc.LoadPackagePoint(7, span); !ok || v.HIKg != 7 {
+		t.Fatalf("a second single-point walk lost the stored point: %+v, %v", v, ok)
+	}
+	// Every index of the space lands inside the small table.
+	for idx := uint64(0); idx < span; idx += 97 {
+		sc.StorePackagePoint(idx, span, PkgPoint{HIKg: float64(idx)})
+		if v, ok := sc.LoadPackagePoint(idx, span); !ok || v.HIKg != float64(idx) {
+			t.Fatalf("index %d: %+v, %v", idx, v, ok)
+		}
+	}
+
+	sc.SizePackagePointMemo(span, 600)
+	if occ, cap := sc.PkgMemoOccupancy(); occ != 0 || cap != 1024 {
+		t.Fatalf("600-point walk: occupancy = %d/%d, want 0/1024", occ, cap)
+	}
+	sc.SizePackagePointMemo(span, span)
+	if _, cap := sc.PkgMemoOccupancy(); cap != PkgPointMemoSlots {
+		t.Fatalf("whole walk: capacity %d, want %d", cap, PkgPointMemoSlots)
+	}
+	sc.StorePackagePoint(7, span, PkgPoint{HIKg: 7})
+	sc.SizePackagePointMemo(span, 1)
+	if _, ok := sc.LoadPackagePoint(7, span); !ok {
+		t.Fatal("a single-point walk shrank the full table")
+	}
+
+	small := &Scratch{}
+	small.SizePackagePointMemo(625, 1)
+	small.StorePackagePoint(3, 625, PkgPoint{})
+	if occ, cap := small.PkgMemoOccupancy(); occ != 1 || cap != 625 {
+		t.Fatalf("625-point space: occupancy = %d/%d, want 1/625", occ, cap)
+	}
+}

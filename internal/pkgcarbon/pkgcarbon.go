@@ -508,7 +508,7 @@ func (e *Estimator) EstimateMergeFork(r1, r2 int, merged Chiplet) (*Result, erro
 	// candidate bounding boxes essentially never repeat within a search,
 	// so the memo would only pay hashing and growth. The model is pure
 	// in the area, so the bits cannot differ from the memoized path.
-	if err := runArchModel(res, nil, &e.p, 0, sc); err != nil {
+	if err := runArchModel(res, nil, &e.p, 0); err != nil {
 		return nil, err
 	}
 	dies := n - 1
@@ -708,10 +708,6 @@ type scratch struct {
 	// strictly positive, so its bit pattern is never zero. Lazy.
 	pkgKeys  []uint64
 	pkgCells []pkgCell
-	// bridgeY and bridgeKWh are the per-bridge yield and energy of the
-	// silicon-bridge model: constants under fixed params, computed by
-	// the first bridge estimate (bridgeY 0 = not yet).
-	bridgeY, bridgeKWh float64
 }
 
 func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
@@ -812,7 +808,7 @@ func finishEstimate(res *Result, chiplets []Chiplet, p *Params, fp *floorplan.Re
 			res.PackageKg = cell.packageKg
 			res.NumBonds = cell.numBonds
 		} else {
-			if err := runArchModel(res, chiplets, p, bridges, sc); err != nil {
+			if err := runArchModel(res, chiplets, p, bridges); err != nil {
 				return err
 			}
 			sc.pkgKeys[slot] = key
@@ -822,7 +818,7 @@ func finishEstimate(res *Result, chiplets []Chiplet, p *Params, fp *floorplan.Re
 				numBonds:      res.NumBonds,
 			}
 		}
-	} else if err := runArchModel(res, chiplets, p, bridges, sc); err != nil {
+	} else if err := runArchModel(res, chiplets, p, bridges); err != nil {
 		return err
 	}
 	// Per-chiplet attach energy, charged through the assembly yield so
@@ -834,12 +830,12 @@ func finishEstimate(res *Result, chiplets []Chiplet, p *Params, fp *floorplan.Re
 
 // runArchModel dispatches the architecture-specific package-carbon
 // model (the memoizable slice of finishEstimate).
-func runArchModel(res *Result, chiplets []Chiplet, p *Params, bridges int, sc *scratch) error {
+func runArchModel(res *Result, chiplets []Chiplet, p *Params, bridges int) error {
 	switch p.Arch {
 	case RDLFanout:
 		return estimateRDL(res, p)
 	case SiliconBridge:
-		return estimateBridge(res, bridges, p, sc)
+		return estimateBridge(res, bridges, p)
 	case PassiveInterposer:
 		return estimateInterposer(res, chiplets, p, false)
 	case ActiveInterposer:
@@ -920,25 +916,16 @@ const bridgeDefectMultiplier = 8
 
 // estimateBridge implements Eq. (10): one bridge per 2 mm of shared edge
 // between adjacent chiplets (n, see countBridges), each carrying
-// patterning plus embedding energy over the bridge yield. The per-bridge
-// yield and energy depend on the params alone, so a scratch keeps them.
-func estimateBridge(res *Result, n int, p *Params, sc *scratch) error {
+// patterning plus embedding energy over the bridge yield.
+func estimateBridge(res *Result, n int, p *Params) error {
 	if n == 0 {
 		return fmt.Errorf("pkgcarbon: EMIB floorplan produced no adjacent chiplet pairs")
 	}
 	res.NumBridges = n
-	var y, perBridgeEnergy float64
-	if sc != nil && sc.bridgeY > 0 {
-		y, perBridgeEnergy = sc.bridgeY, sc.bridgeKWh
-	} else {
-		y = yieldmodel.Die(p.BridgeAreaMM2, p.PackagingNode.DefectDensity*bridgeDefectMultiplier)
-		y = yieldmodel.Layered(y, p.BridgeLayers)
-		perBridgeEnergy = float64(p.BridgeLayers)*p.PackagingNode.EPLABridge*(p.BridgeAreaMM2/100) + p.BridgeEmbedEnergyKWh
-		if sc != nil {
-			sc.bridgeY, sc.bridgeKWh = y, perBridgeEnergy
-		}
-	}
+	y := yieldmodel.Die(p.BridgeAreaMM2, p.PackagingNode.DefectDensity*bridgeDefectMultiplier)
+	y = yieldmodel.Layered(y, p.BridgeLayers)
 	res.AssemblyYield = y
+	perBridgeEnergy := float64(p.BridgeLayers)*p.PackagingNode.EPLABridge*(p.BridgeAreaMM2/100) + p.BridgeEmbedEnergyKWh
 	res.PackageKg = float64(n) * perBridgeEnergy * p.CarbonIntensity / y
 	return nil
 }

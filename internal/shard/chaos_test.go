@@ -38,15 +38,14 @@ func TestChaosParity(t *testing.T) {
 		trials = 2
 	}
 	for trial := 0; trial < trials; trial++ {
-		plan, cat, key := chaosSweep(t, rng)
+		plan, cat, key := chaosSweep(t, rng, chaosReplicas)
 		want, err := plan.RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		cfg := fastCfg()
-		cfg.LeaseBlocks = 1 + rng.Intn(maxChaosLeaseBlocks)
-		cfg.BlockSize = chaosBlockSize(rng, plan.Combos(), chaosReplicas, cfg.LeaseBlocks)
+		cfg.LeaseBlocks, cfg.BlockSize = chaosLease(rng, plan.Combos(), chaosReplicas)
 		cfg.Seed = rng.Int63()
 		if trial%2 == 1 {
 			// Half the trials also force lease expiry on the delayed replica.
@@ -119,25 +118,29 @@ const (
 	maxChaosLeaseBlocks = 4
 )
 
-// chaosSweep draws test sweeps until one has enough points to give
-// every replica of a chaos trial a lease of the largest size with
-// blocks to spare (see chaosBlockSize).
-func chaosSweep(t *testing.T, rng *rand.Rand) (*explore.CompiledPlan, *Catalog, string) {
+// chaosSweep draws test sweeps until one has more points than the
+// trial has transports, the least that lets every transport hold a
+// one-block lease with a block to spare (see chaosLease).
+func chaosSweep(t *testing.T, rng *rand.Rand, transports int) (*explore.CompiledPlan, *Catalog, string) {
 	t.Helper()
-	minPoints := chaosReplicas*maxChaosLeaseBlocks + 1
 	for {
 		plan, cat, key := testSweep(t, rng)
-		if plan.Combos() >= minPoints {
+		if plan.Combos() > transports {
 			return plan, cat, key
 		}
 	}
 }
 
-// chaosBlockSize draws a block size from the plan's point count such
-// that the plan splits into more blocks than transports × leaseBlocks:
-// all replicas together cannot hold every block in their first leases.
-func chaosBlockSize(rng *rand.Rand, points, transports, leaseBlocks int) int {
-	return 1 + rng.Intn(points/(transports*leaseBlocks+1))
+// chaosLease draws a trial's LeaseBlocks and BlockSize from the plan's
+// point count such that the plan splits into more blocks than
+// transports × LeaseBlocks: all transports together cannot hold every
+// block in their first leases. LeaseBlocks is capped at
+// (points-1)/transports, so any plan of more than transports points
+// admits such a split.
+func chaosLease(rng *rand.Rand, points, transports int) (leaseBlocks, blockSize int) {
+	leaseBlocks = 1 + rng.Intn(min(maxChaosLeaseBlocks, (points-1)/transports))
+	blockSize = 1 + rng.Intn(points/(transports*leaseBlocks+1))
+	return leaseBlocks, blockSize
 }
 
 // deterministicCrashTrial sweeps over a replica that crashes on its
@@ -149,14 +152,13 @@ func chaosBlockSize(rng *rand.Rand, points, transports, leaseBlocks int) int {
 // counted the lost replica; the output must stay bit-identical.
 func deterministicCrashTrial(t *testing.T, rng *rand.Rand) bool {
 	t.Helper()
-	plan, cat, key := chaosSweep(t, rng)
+	plan, cat, key := chaosSweep(t, rng, 2)
 	want, err := plan.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := fastCfg()
-	cfg.LeaseBlocks = 1 + rng.Intn(maxChaosLeaseBlocks)
-	cfg.BlockSize = chaosBlockSize(rng, plan.Combos(), 2, cfg.LeaseBlocks)
+	cfg.LeaseBlocks, cfg.BlockSize = chaosLease(rng, plan.Combos(), 2)
 	crashing := &signalDown{inner: Fault(NewReplica(cat), FaultSpec{Seed: rng.Int63(), CrashAfter: 1}), down: make(chan struct{})}
 	held := &holdUntil{inner: NewReplica(cat), ready: crashing.down}
 	co := NewCoordinator(plan, key, []Transport{crashing, held}, cfg)
