@@ -487,10 +487,11 @@ func BenchmarkNodeSweepIncremental(b *testing.B) {
 // BenchmarkNodeSweepIdenticalDies measures the streaming walk of an
 // already-compiled plan over identical dies: the 9-chiplet EPYC-style
 // CPU (8 identical CCDs around one IO die) on silicon bridges over 3
-// nodes, 19683 points. The plan outgrows the per-point package memo, so
-// the walk runs the packaging estimator on every point; the CCDs make
-// most points permutations of an area multiset planned before, which
-// the floorplan memo serves.
+// nodes, 19683 points. The plan outgrows the full package column, so
+// the first walk runs the packaging estimator on every point, where the
+// CCDs make most points permutations of an area multiset planned
+// before, which the floorplan memo serves; later walks finish each
+// point from the package area and bridge count the column kept.
 func BenchmarkNodeSweepIdenticalDies(b *testing.B) {
 	db := DefaultDB()
 	base, err := EPYC(db, 8)
@@ -519,6 +520,58 @@ func BenchmarkNodeSweepIdenticalDies(b *testing.B) {
 		}
 		if n := points.Load(); n != 19683 {
 			b.Fatalf("expected 19683 points, got %d", n)
+		}
+	}
+}
+
+// BenchmarkNodeSweepSession measures the shape of one DSE session: a
+// fresh plan is compiled, swept (RunCtx) and reduced to its
+// embodied×cost front (ParetoFrontCtx) in every iteration. The system
+// is a GA102 split into four digital dies of unequal areas (500 mm²
+// in all), a memory and an analog die; every iteration scales the
+// areas by its own factor, so no two iterations plan the same dies.
+// Over 5 nodes that is 15625 points, more than the full package column
+// holds, so the sweep plans every point and fills the area column that
+// the front walk then reads.
+func BenchmarkNodeSweepSession(b *testing.B) {
+	db := DefaultDB()
+	ref := db.MustGet(7)
+	ctx := context.Background()
+	objectives := []SweepMetric{SweepByEmbodied, SweepByCost}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		skew := 1 + float64(i%1000)*1e-4
+		chiplets := []Chiplet{
+			BlockFromArea("memory", Memory, 80*skew, ref, 10),
+			BlockFromArea("analog", Analog, 48*skew, ref, 14),
+		}
+		for d := 0; d < 4; d++ {
+			chiplets = append(chiplets, BlockFromArea(fmt.Sprintf("digital%d", d), Logic, (113+8*float64(d))*skew, ref, 7))
+		}
+		base := &System{
+			Name:      "ga102-session",
+			Chiplets:  chiplets,
+			Packaging: DefaultPackaging(RDLFanout),
+			Mfg:       DefaultMfgParams(),
+			Design:    DefaultDesignParams(),
+		}
+		plan, err := CompileNodeSweep(base, db, sweepBenchNodes, DefaultCostParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		points, err := plan.RunCtx(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		front, total, err := plan.ParetoFrontCtx(ctx, objectives)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(points) != 15625 || total != 15625 || len(front) == 0 {
+			b.Fatalf("unexpected session: %d points, front %d of %d", len(points), len(front), total)
+		}
+		if s := plan.Stats(); s.PkgMemo.Hits != 15625 {
+			b.Fatalf("the front walk served %d of 15625 points from the package column", s.PkgMemo.Hits)
 		}
 	}
 }

@@ -100,8 +100,8 @@ func TestRunSweepShardedMatchesEngine(t *testing.T) {
 	if !strings.Contains(stats.String(), "shard:") || !strings.Contains(stats.String(), "leases granted") {
 		t.Errorf("sharded progress run missing shard statistics:\n%s", stats.String())
 	}
-	if !strings.Contains(stats.String(), "point memo:") {
-		t.Errorf("sharded progress run missing point-memo statistics:\n%s", stats.String())
+	if !strings.Contains(stats.String(), "package column:") {
+		t.Errorf("sharded progress run missing package-column statistics:\n%s", stats.String())
 	}
 
 	cfg.uncompiled = true

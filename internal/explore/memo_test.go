@@ -11,7 +11,6 @@ import (
 	"ecochip/internal/cost"
 	"ecochip/internal/descarbon"
 	"ecochip/internal/engine"
-	"ecochip/internal/kernel"
 	"ecochip/internal/mfg"
 	"ecochip/internal/opcarbon"
 	"ecochip/internal/pkgcarbon"
@@ -60,12 +59,15 @@ type memoCase struct {
 
 // The permutation-invariant floorplan memo must leave every compiled
 // path bit-identical to the per-point reference on identical-die
-// systems of every architecture, with plans past the per-point memo's
-// capacity (so the walk arms the floorplan memo): RunCtx, ParetoFrontCtx
-// and WalkRange over armed segments and single points. One plan has more
-// distinct area multisets than memo slots, so evictions and collision
-// recomputes run too; and the memo must actually serve hits, so the
-// parity cannot hold vacuously.
+// systems of every architecture, with plans past the full package
+// column (so the walk arms the floorplan memo): RunCtx, ParetoFrontCtx
+// and WalkRange over armed segments and single points. Each walk kind
+// runs on a fresh plan, since a re-walk of a plan is served from its
+// package column and never reaches the floorplanner; a column-served
+// re-walk is checked too. One plan has more distinct area multisets
+// than memo slots, so evictions and collision recomputes run too; and
+// the memo must actually serve hits, so the parity cannot hold
+// vacuously.
 func TestFloorplanMemoMatchesReferenceRandomized(t *testing.T) {
 	d := db()
 	cp := cost.DefaultParams()
@@ -89,25 +91,42 @@ func TestFloorplanMemoMatchesReferenceRandomized(t *testing.T) {
 	for _, c := range cases {
 		base := identicalDieSystem(rng, d, c.arch, c.nc, c.same)
 		label := fmt.Sprintf("%v %d dies (%d identical)", c.arch, c.nc, c.same)
-		plan, err := Compile(base, d, nodes, cp)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if plan.Combos() <= kernel.PkgPointMemoSlots {
-			t.Fatalf("%s: %d points do not exceed the per-point memo", label, plan.Combos())
-		}
-		if plan.fpMemoSlots == 0 {
-			t.Fatalf("%s: the plan did not size a floorplan memo", label)
-		}
-		if c.same == 2 && plan.fpMemoSlots != 1024 {
-			t.Fatalf("%s: memo sized %d slots, want the 1024 cap", label, plan.fpMemoSlots)
+		compile := func() *CompiledPlan {
+			t.Helper()
+			plan, err := Compile(base, d, nodes, cp)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if plan.Combos() <= fullColumnPoints {
+				t.Fatalf("%s: %d points do not exceed the full package column", label, plan.Combos())
+			}
+			if plan.fpMemoSlots == 0 {
+				t.Fatalf("%s: the plan did not size a floorplan memo", label)
+			}
+			if c.same == 2 && plan.fpMemoSlots != 1024 {
+				t.Fatalf("%s: memo sized %d slots, want the 1024 cap", label, plan.fpMemoSlots)
+			}
+			return plan
 		}
 		want, err := NodeSweepReference(ctx, base, d, nodes, cp, engine.WithWorkers(2))
 		if err != nil {
 			t.Fatalf("%s: reference: %v", label, err)
 		}
 
-		got, err := plan.RunCtx(ctx, engine.WithWorkers(2))
+		// Every walk kind serves hits on its own where multisets repeat
+		// densely; the 2-identical plans, whose 4374 multisets overflow
+		// the table, must serve them over the three walks together.
+		var memoHits uint64
+		countHits := func(plan *CompiledPlan, kind string) {
+			t.Helper()
+			h := plan.Stats().Floorplan.MemoHits
+			if c.arch != pkgcarbon.ThreeD && c.same > 2 && h == 0 {
+				t.Fatalf("%s: the floorplan memo served no hit on the %s walk", label, kind)
+			}
+			memoHits += h
+		}
+		runPlan := compile()
+		got, err := runPlan.RunCtx(ctx, engine.WithWorkers(2))
 		if err != nil {
 			t.Fatalf("%s: RunCtx: %v", label, err)
 		}
@@ -116,9 +135,11 @@ func TestFloorplanMemoMatchesReferenceRandomized(t *testing.T) {
 				t.Fatalf("%s: RunCtx point %d differs\nwant %+v\ngot  %+v", label, i, want[i], got[i])
 			}
 		}
+		countHits(runPlan, "RunCtx")
 
 		objectives := []Metric{ByEmbodied, ByCost}
-		front, total, err := plan.ParetoFrontCtx(ctx, objectives, engine.WithWorkers(2))
+		frontPlan := compile()
+		front, total, err := frontPlan.ParetoFrontCtx(ctx, objectives, engine.WithWorkers(2))
 		if err != nil {
 			t.Fatalf("%s: ParetoFrontCtx: %v", label, err)
 		}
@@ -131,11 +152,12 @@ func TestFloorplanMemoMatchesReferenceRandomized(t *testing.T) {
 				t.Fatalf("%s: front point %d differs\nwant %+v\ngot  %+v", label, i, wantFront[i], front[i])
 			}
 		}
+		countHits(frontPlan, "ParetoFrontCtx")
 
 		// Single points (below the arming length) and segments of up to
 		// two shard blocks, in shuffled order.
 		var cuts []int
-		for k := 0; k < plan.Combos(); {
+		for k := 0; k < len(want); {
 			cuts = append(cuts, k)
 			if rng.Intn(4) == 0 {
 				k++
@@ -143,28 +165,52 @@ func TestFloorplanMemoMatchesReferenceRandomized(t *testing.T) {
 				k += minMemoWalk + rng.Intn(1024)
 			}
 		}
-		cuts = append(cuts, plan.Combos())
-		seen := make([]bool, plan.Combos())
-		for _, s := range rng.Perm(len(cuts) - 1) {
-			err := plan.WalkRange(ctx, cuts[s], cuts[s+1], func(idx int, pt *Point) error {
-				if !pointsBitIdentical(*pt, want[idx]) {
-					return fmt.Errorf("WalkRange [%d,%d) point %d differs\nwant %+v\ngot  %+v", cuts[s], cuts[s+1], idx, want[idx], *pt)
+		cuts = append(cuts, len(want))
+		walkSegments := func(plan *CompiledPlan, kind string) {
+			t.Helper()
+			seen := make([]bool, len(want))
+			for _, s := range rng.Perm(len(cuts) - 1) {
+				err := plan.WalkRange(ctx, cuts[s], cuts[s+1], func(idx int, pt *Point) error {
+					if !pointsBitIdentical(*pt, want[idx]) {
+						return fmt.Errorf("%s WalkRange [%d,%d) point %d differs\nwant %+v\ngot  %+v", kind, cuts[s], cuts[s+1], idx, want[idx], *pt)
+					}
+					seen[idx] = true
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				seen[idx] = true
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+			}
+			for i, ok := range seen {
+				if !ok {
+					t.Fatalf("%s: %s WalkRange segments never produced point %d", label, kind, i)
+				}
 			}
 		}
-		for i, ok := range seen {
-			if !ok {
-				t.Fatalf("%s: WalkRange segments never produced point %d", label, i)
-			}
+		rangePlan := compile()
+		walkSegments(rangePlan, "fresh-plan")
+		countHits(rangePlan, "WalkRange")
+
+		if c.arch != pkgcarbon.ThreeD && memoHits == 0 {
+			t.Fatalf("%s: the floorplan memo served no hit on any walk kind", label)
 		}
 
-		if st := plan.Stats(); c.arch != pkgcarbon.ThreeD && st.Floorplan.MemoHits == 0 {
-			t.Fatalf("%s: the floorplan memo served no hit: %v", label, st.Floorplan)
+		// The RunCtx plan published its column (none on 3D stacks): the
+		// same segments re-walk it from the column, never reaching the
+		// floorplanner.
+		before := runPlan.Stats()
+		walkSegments(runPlan, "column-served")
+		after := runPlan.Stats()
+		served := after.PkgMemo.Hits - before.PkgMemo.Hits
+		if c.arch == pkgcarbon.ThreeD {
+			if served != 0 || after.ColumnBytes != 0 {
+				t.Fatalf("%s: a large 3D plan served %d points from a %d B column", label, served, after.ColumnBytes)
+			}
+			continue
+		}
+		if served != uint64(len(want)) || after.Floorplan != before.Floorplan {
+			t.Fatalf("%s: re-walk served %d of %d points from the column; floorplan work %v -> %v",
+				label, served, len(want), before.Floorplan, after.Floorplan)
 		}
 	}
 }
@@ -181,7 +227,7 @@ func TestFloorplanMemoSkipsSinglePoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Combos() <= kernel.PkgPointMemoSlots || plan.fpMemoSlots == 0 {
+	if plan.Combos() <= fullColumnPoints || plan.fpMemoSlots == 0 {
 		t.Fatalf("%d points, %d memo slots: the plan would not arm the memo on a multi-point walk", plan.Combos(), plan.fpMemoSlots)
 	}
 	want, err := NodeSweepReference(context.Background(), base, d, nodes, cost.DefaultParams())
@@ -229,8 +275,8 @@ func TestFloorplanMemoNeverArmsOnMixedDies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Combos() <= kernel.PkgPointMemoSlots {
-		t.Fatalf("%d points do not exceed the per-point memo", plan.Combos())
+	if plan.Combos() <= fullColumnPoints {
+		t.Fatalf("%d points do not exceed the full package column", plan.Combos())
 	}
 	if plan.fpMemoSlots != 0 {
 		t.Fatalf("distinct dies sized a %d-slot floorplan memo", plan.fpMemoSlots)

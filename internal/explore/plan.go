@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -74,17 +73,19 @@ type SweepStats struct {
 	// counters: how many packaging estimates were served by a retained-
 	// tree fast path versus a full rebuild, and the mean relayout depth.
 	Floorplan floorplan.TreeStats
-	// PkgMemo aggregates the per-worker point-memo counters; its
-	// Collisions field counts the recomputes forced by the memo's
-	// direct-mapped slot table (the observable an eviction policy would
-	// be justified by).
+	// PkgMemo counts the points served from the plan's package column
+	// (Hits) against those estimated through the floorplanner (Misses).
 	PkgMemo kernel.PkgMemoStats
+	// ColumnBytes is the resident size of the published package column
+	// (0 until a whole walk completes).
+	ColumnBytes int
 }
 
 // CompiledPlan is a compiled node sweep: the dense per-(chiplet, node)
 // invariant table plus everything point evaluation needs. Compile it
-// once, run it any number of times; a plan is immutable after Compile
-// and safe for concurrent use.
+// once, run it any number of times; a plan is safe for concurrent use,
+// and immutable after Compile apart from its package column, which its
+// first completed whole walk publishes (see column.go).
 type CompiledPlan struct {
 	tbl *kernel.Table
 
@@ -112,12 +113,18 @@ type CompiledPlan struct {
 	// verifies or is keyed by its exact inputs.
 	scratches sync.Pool
 
-	points, blockInits, graySteps atomic.Uint64
-	// Folded floorplan.TreeStats and point-memo counters of the
-	// per-block estimator scratches.
+	// keepsColumn reports that whole walks fill a package column (see
+	// column.go); col is the published column, filling the claim of the
+	// whole walk that fills it.
+	keepsColumn bool
+	col         atomic.Pointer[pkgColumn]
+	filling     atomic.Bool
+
+	points, blockInits, graySteps     atomic.Uint64
+	colHits, colMisses, colCollisions atomic.Uint64
+	// Folded floorplan.TreeStats of the per-block estimator scratches.
 	fpMu     sync.Mutex
 	fpTotals floorplan.TreeStats
-	pmTotals kernel.PkgMemoStats
 }
 
 // Compile builds the sweep plan for evaluating base under every
@@ -154,12 +161,13 @@ func Compile(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*Comp
 	}
 	// The floorplan memo is armed only where it can pay for its table:
 	// on identical dies (the table reports a slot bound), and on plans
-	// the per-point memo cannot hold whole — a smaller plan's re-walks
-	// never reach the floorplan, and serving-sized caches of many small
+	// whose column keeps less than the whole package term — a smaller
+	// plan's re-walks are folds, and serving-sized caches of many small
 	// plans would carry one table per pooled scratch.
-	if combos > kernel.PkgPointMemoSlots {
+	if combos > fullColumnPoints {
 		p.fpMemoSlots = tbl.FloorplanMemoSlots()
 	}
+	p.keepsColumn = !p.monolith && (combos <= fullColumnPoints || base.Packaging.Arch != pkgcarbon.ThreeD)
 	p.weight = make([]int, nc)
 	w := 1
 	for i := nc - 1; i >= 0; i-- {
@@ -179,7 +187,6 @@ func (p *CompiledPlan) Nodes() []int { return append([]int(nil), p.nodes...) }
 func (p *CompiledPlan) Stats() SweepStats {
 	p.fpMu.Lock()
 	fp := p.fpTotals
-	pm := p.pmTotals
 	p.fpMu.Unlock()
 	aos, soa := p.tbl.LayoutBytes()
 	pts := p.points.Load()
@@ -194,7 +201,12 @@ func (p *CompiledPlan) Stats() SweepStats {
 		TableAoSBytes: aos,
 		TableSoABytes: soa,
 		Floorplan:     fp,
-		PkgMemo:       pm,
+		PkgMemo: kernel.PkgMemoStats{
+			Hits:       p.colHits.Load(),
+			Misses:     p.colMisses.Load(),
+			Collisions: p.colCollisions.Load(),
+		},
+		ColumnBytes: p.col.Load().bytes(),
 	}
 }
 
@@ -209,14 +221,16 @@ func (p *CompiledPlan) Run() ([]Point, error) {
 // identical to NodeSweepReference at any worker count.
 func (p *CompiledPlan) RunCtx(ctx context.Context, opts ...engine.Option) ([]Point, error) {
 	results := make([]Point, p.combos)
+	cw := p.claimColumn()
 	err := engine.RunBlocks(ctx, p.combos, func(ctx context.Context, lo, hi int, tick func()) error {
 		return p.walkBlock(ctx, lo, hi, func(idx int, pt *Point) error {
 			cp := *pt
 			cp.Nodes = append([]int(nil), pt.Nodes...)
 			results[idx] = cp
 			return nil
-		}, tick)
+		}, tick, cw)
 	}, opts...)
+	p.releaseColumn(cw, err)
 	if err != nil {
 		return nil, err
 	}
@@ -234,9 +248,12 @@ func (p *CompiledPlan) RunCtx(ctx context.Context, opts ...engine.Option) ([]Poi
 // Nodes slice) is owned by the walker and reused after visit returns:
 // copy what must be retained. A visit error cancels the walk.
 func (p *CompiledPlan) Walk(ctx context.Context, visit func(idx int, pt *Point) error, opts ...engine.Option) error {
-	return engine.RunBlocks(ctx, p.combos, func(ctx context.Context, lo, hi int, tick func()) error {
-		return p.walkBlock(ctx, lo, hi, visit, tick)
+	cw := p.claimColumn()
+	err := engine.RunBlocks(ctx, p.combos, func(ctx context.Context, lo, hi int, tick func()) error {
+		return p.walkBlock(ctx, lo, hi, visit, tick, cw)
 	}, opts...)
+	p.releaseColumn(cw, err)
+	return err
 }
 
 // WalkRange walks the contiguous sequence segment [lo, hi) of the
@@ -248,8 +265,10 @@ func (p *CompiledPlan) Walk(ctx context.Context, visit func(idx int, pt *Point) 
 // party that compiled the same plan can walk any segment and the
 // streamed points are bit-identical to the corresponding points of a
 // full Walk, so segments can be computed remotely, retried after
-// failures and reassembled in any order. The *Point is reused after
-// visit returns; copy what must be retained.
+// failures and reassembled in any order. A segment reads the plan's
+// package column once a whole walk has published it, but never starts
+// one. The *Point is reused after visit returns; copy what must be
+// retained.
 func (p *CompiledPlan) WalkRange(ctx context.Context, lo, hi int, visit func(idx int, pt *Point) error) error {
 	if lo < 0 || hi > p.combos || lo > hi {
 		return fmt.Errorf("explore: WalkRange [%d,%d) outside the %d-point plan", lo, hi, p.combos)
@@ -257,7 +276,7 @@ func (p *CompiledPlan) WalkRange(ctx context.Context, lo, hi int, visit func(idx
 	if lo == hi {
 		return ctx.Err()
 	}
-	return p.walkBlock(ctx, lo, hi, visit, func() {})
+	return p.walkBlock(ctx, lo, hi, visit, func() {}, colWalk{})
 }
 
 // ParetoFrontCtx runs the plan and reduces the sweep to its Pareto front
@@ -274,108 +293,32 @@ func (p *CompiledPlan) ParetoFrontCtx(ctx context.Context, objectives []Metric, 
 		panic("explore: ParetoFront needs at least one objective")
 	}
 	var mu sync.Mutex
-	var merged []frontEntry
+	var merged []FrontEntry
+	cw := p.claimColumn()
 	err := engine.RunBlocks(ctx, p.combos, func(ctx context.Context, lo, hi int, tick func()) error {
-		local := newBlockFront(len(objectives))
+		local := NewFrontFold(len(objectives))
 		err := p.walkBlock(ctx, lo, hi, func(idx int, pt *Point) error {
-			local.add(idx, pt, objectives)
+			local.Add(idx, pt, objectives)
 			return nil
-		}, tick)
+		}, tick, cw)
 		if err != nil {
 			return err
 		}
 		mu.Lock()
-		merged = append(merged, local.entries...)
+		merged = append(merged, local.Entries()...)
 		mu.Unlock()
 		return nil
 	}, opts...)
+	p.releaseColumn(cw, err)
 	if err != nil {
 		return nil, 0, err
 	}
 	// Globally dominated survivors of one block are eliminated by the
-	// final ParetoFront pass; restoring output-slot order first makes the
-	// pass see candidates exactly as the materializing path would, so
-	// ties and duplicates resolve identically.
-	sort.Slice(merged, func(a, b int) bool { return merged[a].idx < merged[b].idx })
-	points := make([]Point, len(merged))
-	for i, e := range merged {
-		points[i] = e.pt
-		points[i].Nodes = p.nodesFor(e.idx)
-	}
+	// final ParetoFront pass; FrontPoints restores output-slot order
+	// first, so the pass sees candidates exactly as the materializing
+	// path would and ties and duplicates resolve identically.
+	_, points := p.FrontPoints(merged)
 	return ParetoFront(points, objectives...), p.combos, nil
-}
-
-// frontEntry is one block-front survivor: the point's scalar fields plus
-// its output slot, from which the Nodes slice is reconstructed only if
-// the point survives the final merge.
-type frontEntry struct {
-	idx int
-	pt  Point // Nodes nil until materialized
-}
-
-// blockFront is one worker block's incremental skyline: the mutually
-// non-dominated subset of the points streamed so far. Objective values
-// are computed once per point and stored in a flat arena, so membership
-// checks are branch-light float compares and the only growth is the
-// entry/value slices themselves — no per-point allocations.
-type blockFront struct {
-	k       int
-	entries []frontEntry
-	objs    []float64 // len(entries)*k objective values
-	vals    []float64 // candidate scratch, len k
-}
-
-func newBlockFront(k int) *blockFront {
-	return &blockFront{k: k, vals: make([]float64, k)}
-}
-
-// add folds one point into the front: rejected if any member dominates
-// it, otherwise inserted after evicting the members it dominates. Equal
-// points do not dominate each other (matching ParetoFront), so exact
-// duplicates coexist. The front invariant (mutual non-dominance) makes
-// the two outcomes exclusive, so a single pass suffices.
-func (f *blockFront) add(idx int, pt *Point, objectives []Metric) {
-	vals := f.vals
-	for j, m := range objectives {
-		vals[j] = m(*pt)
-	}
-	for e := 0; e < len(f.entries); {
-		ov := f.objs[e*f.k : (e+1)*f.k]
-		memberBetter, candidateBetter := false, false
-		for j := 0; j < f.k; j++ {
-			switch {
-			case ov[j] < vals[j]:
-				memberBetter = true
-			case ov[j] > vals[j]:
-				candidateBetter = true
-			}
-		}
-		if memberBetter && !candidateBetter {
-			return // dominated by a member
-		}
-		if candidateBetter && !memberBetter {
-			// Candidate dominates the member: swap-delete (order is
-			// restored by the merge sort).
-			last := len(f.entries) - 1
-			f.entries[e] = f.entries[last]
-			f.entries = f.entries[:last]
-			copy(f.objs[e*f.k:(e+1)*f.k], f.objs[last*f.k:(last+1)*f.k])
-			f.objs = f.objs[:last*f.k]
-			continue
-		}
-		e++
-	}
-	cp := *pt
-	cp.Nodes = nil
-	f.entries = append(f.entries, frontEntry{idx: idx, pt: cp})
-	f.objs = append(f.objs, vals...)
-}
-
-// nodesFor decodes an output slot back into its per-chiplet node
-// assignment, sharing the standard mixed-radix decode with the
-// reference path so the two can never order nodes differently.
-func (p *CompiledPlan) nodesFor(idx int) []int {
-	return combo(idx, p.nodes, p.nc)
 }
 
 // blockScratch is one worker's reusable per-point state: the Gray-code
@@ -403,17 +346,15 @@ type blockScratch struct {
 	rowNREUSD                      []float64
 	pt                             Point
 	sc                             *kernel.Scratch
-	// estValid reports that the kernel scratch's packaging estimator ran
-	// on the previous point of the current walk, so a Gray step may take
-	// the single-changed-chiplet delta path. Serving a point from the
-	// per-point package memo skips the estimator and clears the flag:
-	// the next miss must re-run the full estimate because the retained
-	// floorplan no longer tracks the walk.
+	// estValid reports that the kernel scratch's packaging estimator
+	// planned the previous point of the current walk, so a Gray step may
+	// take the single-changed-chiplet delta path. A point finished from
+	// the column's package area skips the floorplanner and clears it.
 	estValid bool
-	folded   floorplan.TreeStats
-	// memoFolded is the point-memo snapshot already folded into the
-	// plan totals (the PkgMemoStats twin of folded).
-	memoFolded kernel.PkgMemoStats
+	// serve is the published package column the current walk reads,
+	// fill the one it fills (see column.go); nil outside a walk.
+	serve, fill *pkgColumn
+	folded      floorplan.TreeStats
 }
 
 // refreshRow regathers chiplet row i's five metric entries for node
@@ -427,13 +368,13 @@ func (sc *blockScratch) refreshRow(c *kernel.Cols, i, d int) {
 	sc.rowNREUSD[i] = c.NREUSD[d]
 }
 
-// getScratch takes a pooled worker scratch or builds a fresh one, and
-// readies its memos for a walk of n points: the per-point package memo
-// sized to the walk, the floorplan memo armed on walks of at least
-// minMemoWalk points of plans that sized one. (Done here rather than in
-// walkBlock, whose stack frame is kept small: a larger one forces a
-// goroutine stack copy per RunBlocks worker.)
-func (p *CompiledPlan) getScratch(n int) (*blockScratch, error) {
+// getScratch takes a pooled worker scratch or builds a fresh one and
+// readies it for a walk of n points: the package column to read or
+// fill, and the floorplan memo armed on walks of at least minMemoWalk
+// points of plans that sized one. (Done here rather than in walkBlock,
+// whose stack frame is kept small: a larger one forces a goroutine
+// stack copy per RunBlocks worker.)
+func (p *CompiledPlan) getScratch(n int, cw colWalk) (*blockScratch, error) {
 	sc, _ := p.scratches.Get().(*blockScratch)
 	if sc == nil {
 		var err error
@@ -441,10 +382,8 @@ func (p *CompiledPlan) getScratch(n int) (*blockScratch, error) {
 			return nil, err
 		}
 	}
-	if !p.monolith {
-		sc.sc.SizePackagePointMemo(uint64(p.combos), uint64(n))
-	}
-	if p.fpMemoSlots > 0 && n >= minMemoWalk {
+	sc.serve, sc.fill = p.col.Load(), cw.fill
+	if p.fpMemoSlots > 0 && n >= minMemoWalk && sc.serve == nil {
 		sc.sc.ArmFloorplanMemo(p.fpMemoSlots)
 	}
 	return sc, nil
@@ -472,18 +411,17 @@ func (p *CompiledPlan) newScratch() (*blockScratch, error) {
 	}, nil
 }
 
-// putScratch folds the scratch's new floorplan and point-memo work into
-// the plan totals and returns it to the pool.
+// putScratch folds the scratch's new floorplan work into the plan
+// totals and returns it to the pool.
 func (p *CompiledPlan) putScratch(sc *blockScratch) {
 	if !p.monolith {
 		cur := sc.sc.FloorplanStats()
-		mem := sc.sc.PkgMemoStats()
 		p.fpMu.Lock()
 		p.fpTotals.Add(cur.Delta(sc.folded))
-		p.pmTotals.Add(mem.Delta(sc.memoFolded))
 		p.fpMu.Unlock()
-		sc.folded, sc.memoFolded = cur, mem
+		sc.folded = cur
 	}
+	sc.serve, sc.fill = nil, nil
 	p.scratches.Put(sc)
 }
 
@@ -499,9 +437,11 @@ const minMemoWalk = 2
 // visit from a block-local scratch. Each Gray step names the single
 // changed chiplet, and the packaging estimate for the point runs
 // through the kernel scratch's delta path: the retained floorplan tree
-// relayouts only that chiplet's dirty path instead of re-planning.
-func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx int, pt *Point) error, tick func()) error {
-	sc, err := p.getScratch(hi - lo)
+// relayouts only that chiplet's dirty path instead of re-planning. A
+// published package column replaces the estimate's floorplan work, and
+// cw.fill, when set, is the column this whole walk fills.
+func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx int, pt *Point) error, tick func(), cw colWalk) error {
+	sc, err := p.getScratch(hi-lo, cw)
 	if err != nil {
 		return err
 	}
@@ -553,6 +493,7 @@ func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx
 	}
 	p.graySteps.Add(steps)
 	p.points.Add(uint64(hi - lo))
+	p.countPackageTerms(sc, hi-lo, cw)
 	return nil
 }
 
@@ -566,13 +507,11 @@ func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx
 // estimator — through its single-changed-chiplet delta path when changed
 // names the Gray step's chiplet (changed < 0 runs the full estimate) —
 // and out.Nodes aliases the scratch's reusable buffer: callers that
-// retain the point must copy it. pointIdx is the point's standard
-// mixed-radix index, the key of the scratch's per-point package memo: a
-// pooled scratch that has estimated this exact point on an earlier walk
-// serves the package quadruple straight from the memo (the estimate is
-// pure in the digit vector, so the served bits are the estimator's own
-// prior output).
-func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, pointIdx int) error {
+// retain the point must copy it. slot is the point's output slot, its
+// index in the plan's package column: a published column serves the
+// package term (whole, or from the kept package area), and a filling
+// walk stores it.
+func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, slot int) error {
 	t := p.tbl
 	var mfgKg, desKg, nreKg, diesUSD, nreUSD float64
 	rowDes := sc.rowDes[:len(sc.rowMfg)]
@@ -591,29 +530,23 @@ func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, pointIdx 
 	assemblyYield := 1.0
 	if p.monolith {
 		area = t.Cols().AreaMM2[sc.digits[0]]
-	} else if v, ok := sc.sc.LoadPackagePoint(uint64(pointIdx), uint64(p.combos)); ok {
+	} else if c := sc.serve; c != nil && c.full != nil {
+		v := &c.full[slot]
 		hiKg, area, assemblyYield, powerW = v.HIKg, v.AreaMM2, v.AssemblyYield, v.RouterPowerW
 		desKg += t.CommShare[sc.digits[0]]
-		sc.estValid = false
 	} else {
-		var pkg *pkgcarbon.Result
-		var err error
-		if changed >= 0 && sc.estValid {
-			pkg, err = sc.sc.EstimatePackageDelta(changed)
-		} else {
-			pkg, err = sc.sc.EstimatePackage()
-		}
+		pkg, err := p.estimatePackage(sc, changed, slot)
 		if err != nil {
 			return err
 		}
-		sc.estValid = true
 		desKg += t.CommShare[sc.digits[0]]
 		hiKg = pkg.TotalKg()
 		area = pkg.PackageAreaMM2
 		assemblyYield = pkg.AssemblyYield
 		powerW = pkg.RouterTotalPowerW
-		sc.sc.StorePackagePoint(uint64(pointIdx), uint64(p.combos),
-			kernel.PkgPoint{HIKg: hiKg, AreaMM2: area, AssemblyYield: assemblyYield, RouterPowerW: powerW})
+		if f := sc.fill; f != nil {
+			f.store(slot, pkg, hiKg)
+		}
 	}
 
 	var opKg float64
@@ -672,9 +605,9 @@ func (p *CompiledPlan) grayInit(k int, sc *blockScratch) {
 // primitive of the serving layer: a node-swap request against a warm
 // plan inverts the Gray code to the point's sequence index and walks
 // that one-point range, so the returned point carries the exact float
-// bits of the same point in a full RunCtx — and a warm scratch serves
-// the package term straight from the per-point memo, skipping the
-// estimator entirely on repeat requests.
+// bits of the same point in a full RunCtx — and once a whole walk has
+// published the plan's package column, the package term comes from it
+// without the floorplanner.
 func (p *CompiledPlan) EvalPoint(ctx context.Context, nodes []int) (Point, error) {
 	if len(nodes) != p.nc {
 		return Point{}, fmt.Errorf("explore: EvalPoint got %d nodes for a %d-chiplet plan", len(nodes), p.nc)

@@ -16,12 +16,12 @@
 //     tree, whose single-changed-chiplet delta path the Gray-code sweep
 //     walk drives through EstimatePackageDelta), chiplet descriptor
 //     buffer, operational-term memo and the tech.Sandbox for per-sample
-//     node perturbation. Two memos skip the estimator's floorplan work:
-//     the per-point package memo (keyed by point index, for re-walks)
-//     and, on tables whose chiplets share area columns
+//     node perturbation. On tables whose chiplets share area columns
 //     (Table.FloorplanMemoSlots), the floorplan tree's permutation-
-//     invariant memo (keyed by the sorted area vector) that every sweep
-//     walk of more than one point arms with ArmFloorplanMemo.
+//     invariant memo (keyed by the sorted area vector) skips floorplan
+//     work; every sweep walk of more than one point arms it with
+//     ArmFloorplanMemo. EstimatePackageOnArea finishes a re-walked
+//     point from the package area its plan's first whole walk kept.
 //   - ParamPlan: a compiled plan keyed by perturbed *tech.Node / system
 //     parameters. It tabulates every sub-result of the base point once
 //     and re-evaluates perturbations by recomputing only the sub-models
@@ -86,55 +86,21 @@ type Scratch struct {
 	// fpFolded is the floorplan-stats snapshot already folded into a
 	// ScratchPool's totals (see ScratchPool.Put).
 	fpFolded floorplan.TreeStats
-
-	// Per-point package memo (sweep scratches). A compiled point's
-	// package estimate is pure in the point's digit vector, so once a
-	// scratch has estimated a point it can serve the folded quadruple
-	// (PkgPoint) by the point's mixed-radix index and skip the estimator
-	// — the serving shape of a re-walked plan, and the same retained-
-	// state idea as the estimator's warm floorplan tree, one level up.
-	// Slot keys hold index+1 so the zero value means empty; when the
-	// point space outgrows the slot table the index hashes to a
-	// direct-mapped slot and a collision simply recomputes (the memo
-	// serves the estimator's own prior output, so it cannot change a
-	// bit either way). Lazy: sized by SizePackagePointMemo or the first
-	// StorePackagePoint.
-	pkgPtKeys  []uint64
-	pkgPtVals  []PkgPoint
-	pkgPtSpan  uint64 // point-space size the slots were sized for
-	pkgPtShift uint   // hashed tables: log2(PkgPointMemoSlots/len(pkgPtKeys))
-	pkgPtLive  int    // occupied slots (gauge; resets with the table)
-	pkgPtStat  PkgMemoStats
 }
 
-// PkgMemoStats counts the traffic of the per-point package memo. The
-// interesting counter is Collisions: lookups that missed because the
-// direct-mapped slot was occupied by a different point index, i.e. the
-// recomputes an eviction policy could win back. ROADMAP flags possible
-// pathological collision patterns under serving workloads; this makes
-// them observable before any policy is built.
+// PkgMemoStats counts how a compiled sweep plan's points got their
+// package terms: served from the plan's package column (Hits) or
+// estimated through the floorplanner (Misses).
 type PkgMemoStats struct {
-	// Hits is the number of points served straight from the memo.
+	// Hits is the number of points served from the package column.
 	Hits uint64
-	// Misses is the number of lookups that found no entry (cold slots,
-	// unsized tables and span changes included).
+	// Misses is the number of points whose package term was estimated:
+	// every point of a walk that found no published column.
 	Misses uint64
-	// Collisions is the subset of Misses whose slot held a different
-	// point index — a recompute forced purely by the direct-mapped
-	// layout.
+	// Collisions is the subset of Misses estimated by a whole walk that
+	// found another walk still filling the column: recomputes a
+	// published column would have served.
 	Collisions uint64
-	// Fills is the number of stores that claimed an empty slot. Fills
-	// bounded well below the slot count means the workload's working
-	// set fits the table and Collisions noise is hash-induced, not
-	// capacity-induced.
-	Fills uint64
-	// Evictions is the number of stores that overwrote a live entry of
-	// a different point index — the direct-mapped table's forced
-	// evictions. A serving workload whose Evictions grow linearly with
-	// traffic is thrashing the memo (the pathological collision pattern
-	// ROADMAP flagged) and would benefit from a larger or associative
-	// table.
-	Evictions uint64
 }
 
 // Add accumulates o into s.
@@ -142,23 +108,7 @@ func (s *PkgMemoStats) Add(o PkgMemoStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Collisions += o.Collisions
-	s.Fills += o.Fills
-	s.Evictions += o.Evictions
 }
-
-// Delta returns the counters accumulated since prev was snapshotted.
-func (s PkgMemoStats) Delta(prev PkgMemoStats) PkgMemoStats {
-	return PkgMemoStats{
-		Hits:       s.Hits - prev.Hits,
-		Misses:     s.Misses - prev.Misses,
-		Collisions: s.Collisions - prev.Collisions,
-		Fills:      s.Fills - prev.Fills,
-		Evictions:  s.Evictions - prev.Evictions,
-	}
-}
-
-// PkgMemoStats snapshots the scratch's per-point package-memo counters.
-func (sc *Scratch) PkgMemoStats() PkgMemoStats { return sc.pkgPtStat }
 
 // PkgPoint is the package-term quadruple one compiled sweep point folds
 // into its totals: heterogeneous-integration carbon, package area,
@@ -166,117 +116,6 @@ func (sc *Scratch) PkgMemoStats() PkgMemoStats { return sc.pkgPtStat }
 // estimate of the point's digit vector.
 type PkgPoint struct {
 	HIKg, AreaMM2, AssemblyYield, RouterPowerW float64
-}
-
-// pkgPointSlotBits caps the per-point memo at 1<<pkgPointSlotBits slots
-// (4096 × 40 B ≈ 160 KiB per worker scratch); larger point spaces share
-// slots through the hash below.
-const pkgPointSlotBits = 12
-
-// PkgPointMemoSlots is the per-point memo's capacity: a plan of at most
-// this many points is memoized whole, so its re-walks never reach the
-// estimator.
-const PkgPointMemoSlots = 1 << pkgPointSlotBits
-
-// minPkgPointSlots is the smallest hashed per-point table
-// (SizePackagePointMemo).
-const minPkgPointSlots = 64
-
-// pkgPointSlot maps a point index to its slot in a full-size memo: the
-// identity when the whole point space fits, a Fibonacci-hashed
-// direct-mapped slot otherwise.
-func pkgPointSlot(idx, span uint64) uint64 {
-	if span <= 1<<pkgPointSlotBits {
-		return idx
-	}
-	return idx * 0x9e3779b97f4a7c15 >> (64 - pkgPointSlotBits)
-}
-
-// pkgSlot is pkgPointSlot in this scratch's table, which a short walk
-// over a large point space may have sized below the cap: the hash's top
-// bits, as many as the table has.
-func (sc *Scratch) pkgSlot(idx uint64) uint64 {
-	return pkgPointSlot(idx, sc.pkgPtSpan) >> sc.pkgPtShift
-}
-
-// SizePackagePointMemo sizes the per-point memo for a walk of n points
-// in a span-point space. A space the memo holds whole keeps its
-// identity-mapped table, sized by the first StorePackagePoint. A larger
-// space gets a hashed table of n slots, rounded up to a power of two
-// between minPkgPointSlots and PkgPointMemoSlots, grown (and emptied) by
-// a later, longer walk: a single what-if point of a large plan then
-// costs a table of minPkgPointSlots entries instead of the full 160 KiB.
-func (sc *Scratch) SizePackagePointMemo(span, n uint64) {
-	if span <= 1<<pkgPointSlotBits {
-		return
-	}
-	slots, shift := uint64(1)<<pkgPointSlotBits, uint(0)
-	for slots > minPkgPointSlots && slots/2 >= n {
-		slots /= 2
-		shift++
-	}
-	if sc.pkgPtSpan == span && uint64(len(sc.pkgPtKeys)) >= slots {
-		return
-	}
-	sc.pkgPtKeys = make([]uint64, slots)
-	sc.pkgPtVals = make([]PkgPoint, slots)
-	sc.pkgPtSpan, sc.pkgPtShift = span, shift
-	sc.pkgPtLive = 0
-}
-
-// LoadPackagePoint returns the memoized package quadruple of point
-// index idx in a span-point space, if this scratch has estimated that
-// exact point before.
-func (sc *Scratch) LoadPackagePoint(idx, span uint64) (PkgPoint, bool) {
-	if sc.pkgPtSpan != span || len(sc.pkgPtKeys) == 0 {
-		sc.pkgPtStat.Misses++
-		return PkgPoint{}, false
-	}
-	slot := sc.pkgSlot(idx)
-	if key := sc.pkgPtKeys[slot]; key != idx+1 {
-		sc.pkgPtStat.Misses++
-		if key != 0 {
-			sc.pkgPtStat.Collisions++
-		}
-		return PkgPoint{}, false
-	}
-	sc.pkgPtStat.Hits++
-	return sc.pkgPtVals[slot], true
-}
-
-// StorePackagePoint memoizes the package quadruple of point index idx
-// in a span-point space, sizing (or resizing) the slot table on first
-// use.
-func (sc *Scratch) StorePackagePoint(idx, span uint64, v PkgPoint) {
-	if sc.pkgPtSpan != span || len(sc.pkgPtKeys) == 0 {
-		n := span
-		if n > 1<<pkgPointSlotBits {
-			n = 1 << pkgPointSlotBits
-		}
-		sc.pkgPtKeys = make([]uint64, n)
-		sc.pkgPtVals = make([]PkgPoint, n)
-		sc.pkgPtSpan, sc.pkgPtShift = span, 0
-		sc.pkgPtLive = 0
-	}
-	slot := sc.pkgSlot(idx)
-	switch key := sc.pkgPtKeys[slot]; {
-	case key == 0:
-		sc.pkgPtStat.Fills++
-		sc.pkgPtLive++
-	case key != idx+1:
-		sc.pkgPtStat.Evictions++
-	}
-	sc.pkgPtKeys[slot] = idx + 1
-	sc.pkgPtVals[slot] = v
-}
-
-// PkgMemoOccupancy reports the point memo's live entry count against
-// its slot capacity — a residency gauge (not a monotone counter, so it
-// lives beside PkgMemoStats rather than in it). A memo near capacity
-// with growing Evictions is the thrashing signature serving workloads
-// watch for.
-func (sc *Scratch) PkgMemoOccupancy() (occupied, capacity int) {
-	return sc.pkgPtLive, len(sc.pkgPtKeys)
 }
 
 // NewSweepScratch builds the per-worker arena of a compiled node sweep:
@@ -333,6 +172,18 @@ func (sc *Scratch) EstimatePackageDelta(changed int) (*pkgcarbon.Result, error) 
 		return nil, fmt.Errorf("kernel: EstimatePackageDelta on a scratch without a packaging estimator (param-plan or monolith scratch)")
 	}
 	return sc.est.EstimateDelta(sc.pkgCh, changed)
+}
+
+// EstimatePackageOnArea is EstimatePackage for chiplet descriptors
+// whose floorplan an earlier estimate planned: it finishes the estimate
+// from that estimate's package area and bridge count without running
+// the floorplanner (see pkgcarbon.Estimator.EstimateOnArea), with the
+// same float bits.
+func (sc *Scratch) EstimatePackageOnArea(areaMM2 float64, bridges int) (*pkgcarbon.Result, error) {
+	if sc.est == nil {
+		return nil, fmt.Errorf("kernel: EstimatePackageOnArea on a scratch without a packaging estimator (param-plan or monolith scratch)")
+	}
+	return sc.est.EstimateOnArea(sc.pkgCh, areaMM2, bridges)
 }
 
 // ArmFloorplanMemo arms the scratch estimator's permutation-invariant

@@ -229,6 +229,85 @@ func TestEstimateOnFloorplanValidates(t *testing.T) {
 	}
 }
 
+// EstimateOnArea must reproduce a full estimate bit for bit from the
+// package area and bridge count alone, for every floorplanned
+// architecture with fixed and flexible shapes, on an estimator whose
+// retained floorplan belongs to a different chiplet set; and a delta
+// step after it must still match the full path.
+func TestEstimateOnAreaMatchesEstimate(t *testing.T) {
+	db := tech.Default()
+	rng := rand.New(rand.NewSource(61))
+	for _, arch := range Architectures {
+		if arch == ThreeD {
+			continue
+		}
+		for _, flexible := range []bool{false, true} {
+			p := DefaultParams(arch)
+			p.FlexibleFloorplan = flexible
+			est, err := NewEstimator(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%v flexible=%v", arch, flexible)
+			for trial := 0; trial < 20; trial++ {
+				chiplets := randChiplets(rng, db)
+				full, err := Estimate(chiplets, p)
+				if err != nil {
+					continue // e.g. single-chiplet EMIB has no adjacency
+				}
+				want := *full
+				want.WhitespaceMM2 = 0
+				// Plan an unrelated set first, so nothing retained matches.
+				if _, err := est.Estimate(randChiplets(rng, db)); err != nil && arch != SiliconBridge {
+					t.Fatalf("%s trial %d: %v", label, trial, err)
+				}
+				got, err := est.EstimateOnArea(chiplets, full.PackageAreaMM2, full.NumBridges)
+				if err != nil {
+					t.Fatalf("%s trial %d: EstimateOnArea: %v", label, trial, err)
+				}
+				if !resultsBitIdentical(&want, got) || got.Floorplan != nil {
+					t.Fatalf("%s trial %d: area estimate diverges\nwant %+v\ngot  %+v", label, trial, want, *got)
+				}
+				// A delta step after it falls back to the full path.
+				next := append([]Chiplet(nil), chiplets...)
+				next[0].AreaMM2 *= 1.5
+				wantNext, wantErr := Estimate(next, p)
+				gotNext, gotErr := est.EstimateDelta(next, 0)
+				if (wantErr == nil) != (gotErr == nil) {
+					t.Fatalf("%s trial %d: delta error mismatch: %v vs %v", label, trial, wantErr, gotErr)
+				}
+				if wantErr == nil && !resultsBitIdentical(wantNext, gotNext) {
+					t.Fatalf("%s trial %d: delta after an area estimate diverges\nwant %+v\ngot  %+v", label, trial, wantNext, gotNext)
+				}
+			}
+		}
+	}
+}
+
+func TestEstimateOnAreaValidates(t *testing.T) {
+	db := tech.Default()
+	chips := []Chiplet{{Name: "a", AreaMM2: 100, Node: db.MustGet(7)}, {Name: "b", AreaMM2: 50, Node: db.MustGet(14)}}
+	est, err := NewEstimator(DefaultParams(RDLFanout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, area := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := est.EstimateOnArea(chips, area, 0); err == nil {
+			t.Errorf("package area %v accepted", area)
+		}
+	}
+	if _, err := est.EstimateOnArea(nil, 200, 0); err == nil {
+		t.Error("empty chiplet set accepted")
+	}
+	est3D, err := NewEstimator(DefaultParams(ThreeD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := est3D.EstimateOnArea(chips, 200, 0); err == nil {
+		t.Error("a 3D stack has no floorplan, but EstimateOnArea accepted one")
+	}
+}
+
 func TestNewEstimatorValidates(t *testing.T) {
 	p := DefaultParams(RDLFanout)
 	p.RDLLayers = 99

@@ -340,7 +340,9 @@ func Estimate(chiplets []Chiplet, p Params) (*Result, error) {
 // bridge path takes it from the tree's pairwise cache
 // (floorplan.Tree.PlanBridges) without building, naming or sorting an
 // adjacency list. SetFloorplanMemo arms the tree's permutation-
-// invariant memo for sweeps over identical dies.
+// invariant memo for sweeps over identical dies, and EstimateOnArea
+// finishes an estimate from a package area planned earlier without the
+// floorplanner.
 //
 // An Estimator is NOT safe for concurrent use; give each worker its own.
 // The Result returned by Estimate (including its Floorplan) is owned by
@@ -425,7 +427,43 @@ func (e *Estimator) EstimateDelta(chiplets []Chiplet, changed int) (*Result, err
 	// the fields it never writes were zeroed by the first full estimate
 	// and can never have been set since.
 	res := &sc.res
-	if err := finishEstimate(res, chiplets, &e.p, fp, bridgeCount(&e.p, fp, sc), sc); err != nil {
+	res.Floorplan, res.WhitespaceMM2 = fp, fp.WhitespaceMM2()
+	if err := finishEstimate(res, chiplets, &e.p, fp.AreaMM2(), bridgeCount(&e.p, fp, sc), sc); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// EstimateOnArea is Estimate for a chiplet set whose floorplan was
+// planned before: areaMM2 must be the package area an earlier Estimate
+// (or EstimateDelta) of these chiplets returned, and bridges its
+// NumBridges (read by the silicon-bridge model only). The architecture
+// models read nothing of the floorplan but that area and count, and the
+// communication term reads only the chiplets' nodes, so the result
+// carries the exact float bits of the full estimate without running the
+// floorplanner. The Result has no Floorplan and a zero WhitespaceMM2.
+// It is the re-walk path of a compiled sweep that kept each point's
+// package area. The chiplets are not re-validated: they must be a set
+// Estimate accepted. The retained floorplan is left as it is, but the
+// next EstimateDelta falls back to a full Estimate, since the previous
+// call no longer planned the tree's blocks. 3D stacks have no floorplan
+// and are rejected.
+func (e *Estimator) EstimateOnArea(chiplets []Chiplet, areaMM2 float64, bridges int) (*Result, error) {
+	if e.p.Arch == ThreeD {
+		return nil, fmt.Errorf("pkgcarbon: EstimateOnArea on a 3D stack, which has no floorplan")
+	}
+	if len(chiplets) == 0 {
+		return nil, fmt.Errorf("pkgcarbon: no chiplets")
+	}
+	// A positive finite area also keeps the per-area memo's empty marker
+	// (key 0) unreachable.
+	if !(areaMM2 > 0) || math.IsInf(areaMM2, 1) {
+		return nil, fmt.Errorf("pkgcarbon: package area %g is not positive and finite", areaMM2)
+	}
+	sc := &e.sc
+	sc.blocks = sc.blocks[:0]
+	res := newResult(sc)
+	if err := finishEstimate(res, chiplets, &e.p, areaMM2, bridges, sc); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -772,7 +810,8 @@ func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
 		return nil, err
 	}
 	res := newResult(sc)
-	if err := finishEstimate(res, chiplets, p, fp, bridgeCount(p, fp, sc), sc); err != nil {
+	res.Floorplan, res.WhitespaceMM2 = fp, fp.WhitespaceMM2()
+	if err := finishEstimate(res, chiplets, p, fp.AreaMM2(), bridgeCount(p, fp, sc), sc); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -780,15 +819,14 @@ func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
 
 // finishEstimate runs everything after the floorplan: the architecture
 // package-carbon model, the attach term and the communication overhead.
-// It is shared by the full path, the single-changed-chiplet delta path
-// and EstimateOnFloorplan, so the float expressions (and their order)
-// cannot diverge between them. bridges is the plan's bridge count
-// (read by the silicon-bridge model only).
-func finishEstimate(res *Result, chiplets []Chiplet, p *Params, fp *floorplan.Result, bridges int, sc *scratch) error {
+// It is shared by the full path, the single-changed-chiplet delta path,
+// EstimateOnFloorplan and EstimateOnArea, so the float expressions (and
+// their order) cannot diverge between them. areaMM2 is the plan's
+// package area and bridges its bridge count (read by the silicon-bridge
+// model only); callers that planned set the Floorplan fields themselves.
+func finishEstimate(res *Result, chiplets []Chiplet, p *Params, areaMM2 float64, bridges int, sc *scratch) error {
 	res.Arch = p.Arch
-	res.PackageAreaMM2 = fp.AreaMM2()
-	res.WhitespaceMM2 = fp.WhitespaceMM2()
-	res.Floorplan = fp
+	res.PackageAreaMM2 = areaMM2
 	// The bridge model reads the bridge count, so only the three
 	// area-pure architectures go through the scratch's per-area memo
 	// (the memoized triple carries the exact bits the model computes —
@@ -875,8 +913,8 @@ func EstimateOnFloorplan(chiplets []Chiplet, p Params, fp *floorplan.Result) (*R
 	if fp == nil || len(fp.Placements) != len(chiplets) {
 		return nil, fmt.Errorf("pkgcarbon: EstimateOnFloorplan needs a floorplan of all %d chiplets", len(chiplets))
 	}
-	res := &Result{}
-	if err := finishEstimate(res, chiplets, &p, fp, bridgeCount(&p, fp, nil), nil); err != nil {
+	res := &Result{Floorplan: fp, WhitespaceMM2: fp.WhitespaceMM2()}
+	if err := finishEstimate(res, chiplets, &p, fp.AreaMM2(), bridgeCount(&p, fp, nil), nil); err != nil {
 		return nil, err
 	}
 	return res, nil

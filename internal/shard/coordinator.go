@@ -447,12 +447,12 @@ func (c *Coordinator) ParetoFrontStream(ctx context.Context, objectives []Object
 		return nil, 0, err
 	}
 	nb := blockCount(c.plan.Combos(), c.cfg.BlockSize)
-	fold := newFrontFold(len(objectives))
+	fold := explore.NewFrontFold(len(objectives))
 	var foldMu sync.Mutex
 	blocksDone := 0
 	// snapshot materializes the current front; callers hold foldMu.
 	snapshot := func() FrontSnapshot {
-		_, pts := fold.sorted()
+		_, pts := c.plan.FrontPoints(fold.Entries())
 		return FrontSnapshot{Front: explore.ParetoFront(pts, ms...), BlocksDone: blocksDone, TotalBlocks: nb}
 	}
 
@@ -489,7 +489,7 @@ func (c *Coordinator) ParetoFrontStream(ctx context.Context, objectives []Object
 	sink := func(res BlockResult) {
 		foldMu.Lock()
 		for i, slot := range res.Slots {
-			fold.add(slot, &res.Points[i], ms)
+			fold.Add(slot, &res.Points[i], ms)
 		}
 		blocksDone++
 		foldMu.Unlock()

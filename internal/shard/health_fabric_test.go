@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -212,11 +213,14 @@ func TestAddTransportJoinsLiveRun(t *testing.T) {
 	}
 }
 
-// drainingTransport reports a graceful drain.
+// drainingTransport reports a graceful drain. consulted, when set, is
+// closed the first time the coordinator asks whether it is draining.
 type drainingTransport struct {
-	inner    Transport
-	draining atomic.Bool
-	execs    atomic.Int64
+	inner     Transport
+	draining  atomic.Bool
+	execs     atomic.Int64
+	consulted chan struct{}
+	once      sync.Once
 }
 
 func (d *drainingTransport) Execute(ctx context.Context, lease Lease, emit func(BlockResult) error) error {
@@ -224,20 +228,47 @@ func (d *drainingTransport) Execute(ctx context.Context, lease Lease, emit func(
 	return d.inner.Execute(ctx, lease, emit)
 }
 
-func (d *drainingTransport) Draining() bool { return d.draining.Load() }
+func (d *drainingTransport) Draining() bool {
+	if d.consulted != nil {
+		d.once.Do(func() { close(d.consulted) })
+	}
+	return d.draining.Load()
+}
+
+// gatedTransport holds every Execute until open is closed.
+type gatedTransport struct {
+	inner Transport
+	open  <-chan struct{}
+}
+
+func (g *gatedTransport) Execute(ctx context.Context, lease Lease, emit func(BlockResult) error) error {
+	select {
+	case <-g.open:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return g.inner.Execute(ctx, lease, emit)
+}
 
 // A draining replica gets no leases: the coordinator skips it (counted)
-// and the healthy replica carries the sweep.
+// and the healthy replica carries the sweep. The coverage holds by
+// construction, not by scheduling: the plan spans more blocks than one
+// lease covers, the drainer is listed first, and the healthy replica
+// executes nothing until the coordinator has consulted the drainer, so
+// the sweep cannot finish before the drainer's lease loop reaches its
+// drain check.
 func TestDrainingTransportSkipped(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	plan, cat, key := testSweep(t, rng)
+	cfg := fastCfg()
+	plan, cat, key := bigTestSweep(t, rng, cfg.BlockSize*cfg.LeaseBlocks+1)
 	want, err := plan.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainer := &drainingTransport{inner: NewReplica(cat)}
+	drainer := &drainingTransport{inner: NewReplica(cat), consulted: make(chan struct{})}
 	drainer.draining.Store(true)
-	co := NewCoordinator(plan, key, []Transport{NewReplica(cat), drainer}, fastCfg())
+	healthy := &gatedTransport{inner: NewReplica(cat), open: drainer.consulted}
+	co := NewCoordinator(plan, key, []Transport{drainer, healthy}, cfg)
 	got, err := co.Sweep(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -254,15 +254,15 @@ func computeBlock(ctx context.Context, plan *explore.CompiledPlan, mode Mode, ob
 		if len(objectives) == 0 {
 			return BlockResult{}, fmt.Errorf("shard: ModeFront block with no objectives")
 		}
-		fold := newFrontFold(len(objectives))
+		fold := explore.NewFrontFold(len(objectives))
 		err := plan.WalkRange(ctx, lo, hi, func(idx int, pt *explore.Point) error {
-			fold.add(idx, pt, objectives)
+			fold.Add(idx, pt, objectives)
 			return nil
 		})
 		if err != nil {
 			return BlockResult{}, err
 		}
-		res.Slots, res.Points = fold.sorted()
+		res.Slots, res.Points = plan.FrontPoints(fold.Entries())
 	default:
 		return BlockResult{}, fmt.Errorf("shard: unknown mode %d", mode)
 	}
