@@ -231,7 +231,7 @@ func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db 
 				s.Points, s.TableCells, s.GraySteps, s.BlockInits)
 			fmt.Fprintf(statsW, "table layout: %d B resident as columns (%d B as struct rows), %d column folds\n",
 				s.TableSoABytes, s.TableAoSBytes, s.ColumnFolds)
-			fmt.Fprintf(statsW, "package column: %d points served, %d estimated (%d while another walk filled it), %d B resident\n",
+			fmt.Fprintf(statsW, "package column: %d points served, %d estimated (%d of them stored first by another walk), %d B pinned\n",
 				s.PkgMemo.Hits, s.PkgMemo.Misses, s.PkgMemo.Collisions, s.ColumnBytes)
 			if fp := s.Floorplan; fp.Plans() > 0 {
 				fmt.Fprintln(statsW, fp)

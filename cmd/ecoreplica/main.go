@@ -10,7 +10,8 @@
 // key, so a coordinator/replica database skew surfaces as a typed key
 // mismatch instead of silently divergent results. Compiled plans stay
 // resident in a catalog bounded by -plans (LRU eviction; evicted plans
-// recompile on the next lease).
+// recompile on the next lease). A replica pins no package columns
+// (see explore.SetColumnBudget).
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: it stops accepting,
 // refuses new leases, answers liveness pings with the draining flag,
@@ -30,6 +31,7 @@ import (
 	"syscall"
 	"time"
 
+	"ecochip/internal/explore"
 	"ecochip/internal/shard"
 	"ecochip/internal/shard/netx"
 	"ecochip/internal/tech"
@@ -43,6 +45,11 @@ func main() {
 	token := flag.String("auth-token", "", "shared secret coordinators must present to register (empty = no auth)")
 	verbose := flag.Bool("verbose", false, "log transport events to stderr")
 	flag.Parse()
+	// A replica walks only the blocks leased to it, so its plans' package
+	// columns rarely complete, and its catalog is unbounded by default:
+	// it pins none, and a column it fills serves its re-walks until the
+	// next collection.
+	explore.SetColumnBudget(0)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

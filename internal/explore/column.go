@@ -2,22 +2,36 @@ package explore
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 	"unsafe"
+	"weak"
 
 	"ecochip/internal/kernel"
 	"ecochip/internal/pkgcarbon"
 )
 
 // A compiled plan owns one package column: per output slot, what a
-// re-walk needs to skip the floorplanner. The first whole walk of the
-// plan (RunCtx, Walk or ParetoFrontCtx) fills it and publishes it only
-// if it completes without error; every later walk, WalkRange segments
-// and EvalPoint included, reads it. WalkRange and EvalPoint never start
-// a column, so shard replicas and single what-ifs allocate none, and a
-// whole walk that finds another one filling just computes. The package
-// estimate is pure in the point's digit vector, so a served entry is
-// the estimator's own prior output and cannot change a bit.
+// re-walk needs to skip the floorplanner. Walks fill it slot by slot
+// (each slot is claimed before its entry is written and marked ready
+// after, so it is written once and read only once written) and read
+// every slot already filled, so a walk re-visiting points of an earlier
+// one skips the floorplanner for them. Whole walks (RunCtx, Walk,
+// ParetoFrontCtx) start a column on any plan that keeps one; WalkRange
+// segments of two or more points start one only on plans of at most
+// fullColumnPoints points, so a shard replica's leased blocks reuse
+// each other's work; EvalPoint reads and fills but never starts one.
+// The package estimate is pure in the point's digit vector, so a served
+// entry is the estimator's own prior output and cannot change a bit.
+//
+// A column being filled is held only by the walks filling it and a weak
+// pointer of the plan, so the collector reclaims a partial column no
+// walk is using — a replica that sees only part of a plan keeps no
+// memory for it past the next collection. The walk that writes the last
+// slot publishes the column: it pins it on the plan, for the plan's
+// lifetime, while the process column budget (SetColumnBudget) has room,
+// and otherwise leaves it to serve walks until the collector reclaims
+// it.
 //
 // What an entry holds depends on the plan size. A plan of at most
 // fullColumnPoints points keeps the whole kernel.PkgPoint quadruple
@@ -32,40 +46,101 @@ import (
 // package quadruple per point.
 const fullColumnPoints = 4096
 
-// pkgColumn is a plan's package column, indexed by output slot: full on
-// plans of at most fullColumnPoints points, area (and bridges on
-// silicon-bridge plans) on larger ones.
+// DefaultColumnBudget is the process column budget until
+// SetColumnBudget changes it: 64 MB, eight columns of the largest
+// (10⁶-point) plans.
+const DefaultColumnBudget = 64 << 20
+
+// pinned accounts the bytes of the package columns pinned on plans
+// against the process column budget. A pinned column's bytes are
+// returned when the collector reclaims it with its plan.
+var pinned struct {
+	limit, used atomic.Int64
+}
+
+func init() { pinned.limit.Store(DefaultColumnBudget) }
+
+// SetColumnBudget bounds the bytes of complete package columns the
+// process pins on compiled plans and returns the previous bound. A
+// column completed while the budget has no room for it still serves
+// walks, but only until the collector reclaims it. A serving process
+// whose plan cache is bounded by count sets this to bound the columns
+// its cached plans keep; 0 pins none.
+func SetColumnBudget(bytes int64) int64 { return pinned.limit.Swap(bytes) }
+
+// reserveColumn takes n bytes of the column budget if it has room.
+func reserveColumn(n int64) bool {
+	for {
+		u := pinned.used.Load()
+		if u+n > pinned.limit.Load() {
+			return false
+		}
+		if pinned.used.CompareAndSwap(u, u+n) {
+			return true
+		}
+	}
+}
+
+// unpinColumn returns a reclaimed column's bytes to the budget.
+func unpinColumn(n int64) { pinned.used.Add(-n) }
+
+// pkgColumn is a plan's package column entries, indexed by output slot:
+// full on plans of at most fullColumnPoints points, area (and bridges
+// on silicon-bridge plans) on larger ones.
 type pkgColumn struct {
 	full    []kernel.PkgPoint
 	area    []float64
 	bridges []uint32
-	// spoiled marks a fill that met a bridge count the column cannot
-	// hold; such a column is never published.
-	spoiled atomic.Bool
 }
 
-// colWalk is a walk's relation to the plan's package column: the column
-// a whole walk fills (nil otherwise), and whether the walk found another
-// whole walk filling it.
+// columnFill is a column being filled: the entries and which of them
+// are claimed and ready, one bit per slot each.
+type columnFill struct {
+	col            *pkgColumn
+	claimed, ready []atomic.Uint64
+	stored         atomic.Int64 // ready slots; all of them completes the column
+}
+
+// colWalk is a walk's relation to the plan's package column: the
+// complete column it serves from, or the one it fills (and serves the
+// ready slots of); both nil on plans without one.
 type colWalk struct {
-	fill      *pkgColumn
-	contended bool
+	serve *pkgColumn
+	fill  *columnFill
 }
 
-// claimColumn claims the column fill for one whole walk. It returns a
-// zero colWalk when the plan keeps no column or has published it, and a
-// contended one when another whole walk is filling it.
-func (p *CompiledPlan) claimColumn() colWalk {
-	if !p.keepsColumn || p.col.Load() != nil {
+// columnFor returns the column relation of a walk starting now, and
+// starts a column when none is pinned or being filled and start is set.
+func (p *CompiledPlan) columnFor(start bool) colWalk {
+	if !p.keepsColumn {
 		return colWalk{}
 	}
-	if !p.filling.CompareAndSwap(false, true) {
-		return colWalk{contended: true}
+	if c := p.col.Load(); c != nil {
+		return colWalk{serve: c}
 	}
-	if p.col.Load() != nil { // published between the two checks
-		p.filling.Store(false)
-		return colWalk{}
+	for {
+		wp := p.part.Load()
+		if wp != nil {
+			if f := wp.Value(); f != nil {
+				if f.stored.Load() == int64(p.combos) {
+					return colWalk{serve: f.col}
+				}
+				return colWalk{fill: f}
+			}
+		}
+		if !start {
+			return colWalk{}
+		}
+		f := p.newColumnFill()
+		w := weak.Make(f)
+		if p.part.CompareAndSwap(wp, &w) {
+			return colWalk{fill: f}
+		}
 	}
+}
+
+// newColumnFill allocates an empty column for the plan.
+func (p *CompiledPlan) newColumnFill() *columnFill {
 	c := &pkgColumn{}
 	if p.combos <= fullColumnPoints {
 		c.full = make([]kernel.PkgPoint, p.combos)
@@ -75,35 +150,58 @@ func (p *CompiledPlan) claimColumn() colWalk {
 			c.bridges = make([]uint32, p.combos)
 		}
 	}
-	return colWalk{fill: c}
+	words := (p.combos + 63) / 64
+	bits := make([]atomic.Uint64, 2*words)
+	return &columnFill{col: c, claimed: bits[:words], ready: bits[words:]}
 }
 
-// releaseColumn ends a whole walk's claim: the column it filled is
-// published if the walk completed (every slot written), and dropped
-// otherwise, so the next whole walk fills afresh.
-func (p *CompiledPlan) releaseColumn(cw colWalk, err error) {
-	if cw.fill == nil {
+// setBit sets bit i of words and reports whether it was clear. (A
+// compare-and-swap loop: with its result used, atomic.Uint64.Or faulted
+// here under Go 1.24.0 on amd64.)
+func setBit(words []atomic.Uint64, i int) bool {
+	w, m := &words[i>>6], uint64(1)<<(i&63)
+	for {
+		o := w.Load()
+		if o&m != 0 {
+			return false
+		}
+		if w.CompareAndSwap(o, o|m) {
+			return true
+		}
+	}
+}
+
+// has reports whether slot's entry is written.
+func (f *columnFill) has(slot int) bool {
+	return f.ready[slot>>6].Load()&(1<<(slot&63)) != 0
+}
+
+// storeColumn keeps the package term of the point at slot in the column
+// the walk fills, unless another walk claimed the slot first (counted
+// as a collision) or the column cannot hold it, and publishes the
+// column when this was its last slot.
+func (p *CompiledPlan) storeColumn(sc *blockScratch, slot int, pkg *pkgcarbon.Result, hiKg float64) {
+	f := sc.fill
+	c := f.col
+	if c.bridges != nil && uint64(pkg.NumBridges) > math.MaxUint32 {
+		return // never complete: the column keeps serving its ready slots
+	}
+	if !setBit(f.claimed, slot) {
+		sc.collided++
 		return
 	}
-	if err == nil && !cw.fill.spoiled.Load() {
-		p.col.Store(cw.fill)
-	}
-	p.filling.Store(false)
-}
-
-// store keeps the package term of the point at slot.
-func (c *pkgColumn) store(slot int, pkg *pkgcarbon.Result, hiKg float64) {
 	if c.full != nil {
 		c.full[slot] = kernel.PkgPoint{HIKg: hiKg, AreaMM2: pkg.PackageAreaMM2, AssemblyYield: pkg.AssemblyYield, RouterPowerW: pkg.RouterTotalPowerW}
-		return
-	}
-	c.area[slot] = pkg.PackageAreaMM2
-	if c.bridges != nil {
-		if uint64(pkg.NumBridges) > math.MaxUint32 {
-			c.spoiled.Store(true)
-			return
+	} else {
+		c.area[slot] = pkg.PackageAreaMM2
+		if c.bridges != nil {
+			c.bridges[slot] = uint32(pkg.NumBridges)
 		}
-		c.bridges[slot] = uint32(pkg.NumBridges)
+	}
+	setBit(f.ready, slot)
+	if f.stored.Add(1) == int64(p.combos) && reserveColumn(int64(c.bytes())) {
+		p.col.Store(c)
+		runtime.AddCleanup(c, unpinColumn, int64(c.bytes()))
 	}
 }
 
@@ -125,12 +223,12 @@ func (c *pkgColumn) bytes() int {
 }
 
 // estimatePackage runs the package estimate of the scratch's current
-// chiplets: from the published column's package area when the walk
-// serves one, otherwise through the floorplanner — its single-changed-
-// chiplet delta path when changed names the Gray step's chiplet and the
-// estimator planned the previous point.
-func (p *CompiledPlan) estimatePackage(sc *blockScratch, changed, slot int) (*pkgcarbon.Result, error) {
-	if c := sc.serve; c != nil {
+// chiplets: from the package area of c when the walk serves the slot
+// from a column, otherwise through the floorplanner — its single-
+// changed-chiplet delta path when changed names the Gray step's chiplet
+// and the estimator planned the previous point.
+func (p *CompiledPlan) estimatePackage(sc *blockScratch, c *pkgColumn, changed, slot int) (*pkgcarbon.Result, error) {
+	if c != nil {
 		sc.estValid = false
 		return sc.sc.EstimatePackageOnArea(c.area[slot], c.bridgeCount(slot))
 	}
@@ -150,15 +248,17 @@ func (p *CompiledPlan) estimatePackage(sc *blockScratch, changed, slot int) (*pk
 
 // countPackageTerms counts how a completed block's n points got their
 // package terms (see SweepStats.PkgMemo).
-func (p *CompiledPlan) countPackageTerms(sc *blockScratch, n int, cw colWalk) {
-	switch {
-	case p.monolith:
-	case sc.serve != nil:
-		p.colHits.Add(uint64(n))
-	case cw.contended:
-		p.colCollisions.Add(uint64(n))
-		p.colMisses.Add(uint64(n))
-	default:
-		p.colMisses.Add(uint64(n))
+func (p *CompiledPlan) countPackageTerms(sc *blockScratch, n int) {
+	if p.monolith {
+		return
+	}
+	if sc.served > 0 {
+		p.colHits.Add(sc.served)
+	}
+	if m := uint64(n) - sc.served; m > 0 {
+		p.colMisses.Add(m)
+	}
+	if sc.collided > 0 {
+		p.colCollisions.Add(sc.collided)
 	}
 }

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"ecochip/internal/core"
 	"ecochip/internal/cost"
@@ -190,12 +193,53 @@ func TestPackageColumnServesEveryWalkKind(t *testing.T) {
 	}
 }
 
-// Only a completed whole walk publishes a column: EvalPoint and
-// WalkRange segments covering the whole plan never start one, and a
-// whole walk cancelled mid-way publishes nothing. The next whole walk
-// fills and publishes it, and the walk after that is served whole from
-// it; every walk returns the reference's exact bits.
-func TestPackageColumnPublishedOnlyByCompletedWholeWalks(t *testing.T) {
+// noGC stops automatic collection for the rest of the test: a column
+// being filled is held only by its walks and a weak pointer, so the
+// suites that count served points collect only where they say so.
+func noGC(t *testing.T) {
+	t.Helper()
+	old := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(old) })
+}
+
+// filling reports the number of ready slots of the column the plan is
+// filling (or holds complete but unpinned), -1 if it has none.
+func filling(p *CompiledPlan) int {
+	if wp := p.part.Load(); wp != nil {
+		if f := wp.Value(); f != nil {
+			return int(f.stored.Load())
+		}
+	}
+	return -1
+}
+
+// walkSegments walks the plan as shuffled 50-point WalkRange segments,
+// checking every point against want.
+func walkSegments(ctx context.Context, rng *rand.Rand, plan *CompiledPlan, want []Point) error {
+	for _, s := range rng.Perm((len(want) + 49) / 50) {
+		lo, hi := 50*s, min(50*s+50, len(want))
+		err := plan.WalkRange(ctx, lo, hi, func(idx int, pt *Point) error {
+			if !pointsBitIdentical(*pt, want[idx]) {
+				return fmt.Errorf("WalkRange [%d,%d) point %d differs", lo, hi, idx)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// A column is pinned when its last slot is filled, by whatever walk
+// fills it. EvalPoint never starts a column, and WalkRange segments
+// start one only on plans of at most fullColumnPoints points. A whole
+// walk cancelled mid-way pins nothing; the slots it filled serve later
+// walks, which fill the rest and pin the column, until the collector
+// reclaims the unfinished column. Every walk returns the reference's
+// exact bits.
+func TestPackageColumnPinnedWhenComplete(t *testing.T) {
+	noGC(t)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(77))
 	nodes := []int{7, 14, 28}
@@ -206,93 +250,220 @@ func TestPackageColumnPublishedOnlyByCompletedWholeWalks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: reference: %v", c, err)
 		}
-		plan, err := Compile(base, db(), nodes, cp)
-		if err != nil {
-			t.Fatalf("%v: %v", c, err)
-		}
-		full := wantColumnBytes(c, len(want))
-		// published reports whether an EvalPoint is served from the
-		// column, after checking its bits and the published size.
-		published := func(step string, wantBytes int) bool {
+		n := len(want)
+		small := n <= fullColumnPoints
+		compile := func() *CompiledPlan {
 			t.Helper()
-			before := plan.Stats().PkgMemo.Hits
-			i := rng.Intn(len(want))
-			pt, err := plan.EvalPoint(ctx, want[i].Nodes)
-			if err != nil || !pointsBitIdentical(pt, want[i]) {
-				t.Fatalf("%v: EvalPoint slot %d after %s: %v\nwant %+v\ngot  %+v", c, i, step, err, want[i], pt)
-			}
-			s := plan.Stats()
-			if s.ColumnBytes != wantBytes {
-				t.Fatalf("%v: after %s the column holds %d B, want %d", c, step, s.ColumnBytes, wantBytes)
-			}
-			return s.PkgMemo.Hits > before
-		}
-
-		for k := 0; k < 20; k++ {
-			if published("EvalPoint", 0) {
-				t.Fatalf("%v: EvalPoint served a column no whole walk filled", c)
-			}
-		}
-
-		cctx, cancel := context.WithCancel(ctx)
-		visited := 0
-		err = plan.Walk(cctx, func(int, *Point) error {
-			if visited++; visited == 100 {
-				cancel()
-			}
-			return nil
-		}, engine.WithWorkers(1))
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: cancelled Walk returned %v", c, err)
-		}
-		if published("a cancelled walk", 0) {
-			t.Fatalf("%v: a cancelled walk published the column", c)
-		}
-
-		for _, s := range rng.Perm((len(want) + 49) / 50) {
-			lo, hi := 50*s, min(50*s+50, len(want))
-			err := plan.WalkRange(ctx, lo, hi, func(idx int, pt *Point) error {
-				if !pointsBitIdentical(*pt, want[idx]) {
-					return fmt.Errorf("WalkRange [%d,%d) point %d differs", lo, hi, idx)
-				}
-				return nil
-			})
+			plan, err := Compile(base, db(), nodes, cp)
 			if err != nil {
 				t.Fatalf("%v: %v", c, err)
 			}
+			return plan
 		}
-		if published("WalkRange segments", 0) {
-			t.Fatalf("%v: WalkRange segments published a column", c)
+		pinnedBytes := func(plan *CompiledPlan, step string, wantBytes int) {
+			t.Helper()
+			if b := plan.Stats().ColumnBytes; b != wantBytes {
+				t.Fatalf("%v: after %s the pinned column holds %d B, want %d", c, step, b, wantBytes)
+			}
+		}
+		full := wantColumnBytes(c, n)
+
+		plan := compile()
+		for k := 0; k < 20; k++ {
+			i := rng.Intn(n)
+			pt, err := plan.EvalPoint(ctx, want[i].Nodes)
+			if err != nil || !pointsBitIdentical(pt, want[i]) {
+				t.Fatalf("%v: EvalPoint slot %d: %v\nwant %+v\ngot  %+v", c, i, err, want[i], pt)
+			}
+		}
+		if f := filling(plan); f != -1 || plan.Stats().PkgMemo.Hits != 0 {
+			t.Fatalf("%v: EvalPoint started a column (%d slots, %+v)", c, f, plan.Stats().PkgMemo)
 		}
 
-		for _, label := range []string{"first", "second"} {
+		// WalkRange segments of a fresh plan: a small plan's column is
+		// filled and pinned by them, a large plan's is never started.
+		if err := walkSegments(ctx, rng, plan, want); err != nil {
+			t.Fatalf("%v: fresh plan: %v", c, err)
+		}
+		if small {
+			pinnedBytes(plan, "WalkRange segments", full)
+		} else if f := filling(plan); f != -1 {
+			t.Fatalf("%v: WalkRange segments started a %d-point column", c, n)
+		}
+
+		// cancel walks a fresh plan and cancels it after 100 points.
+		cancel := func() (*CompiledPlan, int) {
+			t.Helper()
+			plan := compile()
+			cctx, stop := context.WithCancel(ctx)
+			visited := 0
+			err := plan.Walk(cctx, func(int, *Point) error {
+				if visited++; visited == 100 {
+					stop()
+				}
+				return nil
+			}, engine.WithWorkers(1))
+			stop()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%v: cancelled Walk returned %v", c, err)
+			}
+			pinnedBytes(plan, "a cancelled walk", 0)
+			f := filling(plan)
+			if f < 100 || f >= n {
+				t.Fatalf("%v: a walk cancelled after 100 points filled %d of %d slots", c, f, n)
+			}
+			return plan, f
+		}
+
+		// The unfinished column is collectable: after a collection the
+		// next walk finds nothing to serve.
+		plan, _ = cancel()
+		runtime.GC()
+		if f := filling(plan); f != -1 {
+			t.Fatalf("%v: a collection left an unused %d-slot column", c, f)
+		}
+
+		// Otherwise its slots serve, whole walk or segments alike, and
+		// the walk that fills the rest pins it.
+		for _, kind := range []string{"RunCtx", "WalkRange segments"} {
+			plan, f := cancel()
+			before := plan.Stats().PkgMemo
+			if kind == "RunCtx" {
+				got, err := plan.RunCtx(ctx, engine.WithWorkers(2))
+				if err == nil {
+					err = checkAll(want, got)
+				}
+				if err != nil {
+					t.Fatalf("%v: RunCtx after a cancelled walk: %v", c, err)
+				}
+			} else if err := walkSegments(ctx, rng, plan, want); err != nil {
+				t.Fatalf("%v: segments after a cancelled walk: %v", c, err)
+			}
+			after := plan.Stats().PkgMemo
+			if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != uint64(f) || misses != uint64(n-f) || after.Collisions != 0 {
+				t.Fatalf("%v: %s after a walk that filled %d slots served %d and estimated %d (%+v)", c, kind, f, hits, misses, after)
+			}
+			pinnedBytes(plan, kind, full)
+
 			hits := plan.Stats().PkgMemo.Hits
 			got, err := plan.RunCtx(ctx, engine.WithWorkers(2))
+			if err == nil {
+				err = checkAll(want, got)
+			}
 			if err != nil {
-				t.Fatalf("%v: %s RunCtx: %v", c, label, err)
+				t.Fatalf("%v: RunCtx of a pinned column: %v", c, err)
 			}
-			if err := checkAll(want, got); err != nil {
-				t.Fatalf("%v: %s RunCtx: %v", c, label, err)
+			if served := plan.Stats().PkgMemo.Hits - hits; served != uint64(n) {
+				t.Fatalf("%v: a RunCtx of a pinned column served %d of %d points", c, served, n)
 			}
-			wantServed := uint64(len(want))
-			if label == "first" {
-				wantServed = 0
-			}
-			if served := plan.Stats().PkgMemo.Hits - hits; served != wantServed {
-				t.Fatalf("%v: the %s RunCtx served %d points from the column, want %d", c, label, served, wantServed)
-			}
-		}
-		if !published("RunCtx", full) {
-			t.Fatalf("%v: two whole walks left the column unpublished", c)
 		}
 	}
 }
 
-// Concurrent whole walks of a fresh plan race to fill its column: one
-// fills, the others compute (counted as collisions while it fills), and
-// every walk returns the reference's exact bits. Run under -race.
+// The process column budget bounds the pinned columns: a column
+// completed without room serves walks only until it is collected, and
+// a collected plan returns its pinned column's bytes to the budget.
+func TestPackageColumnBudget(t *testing.T) {
+	noGC(t)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	c := columnCase{arch: pkgcarbon.PassiveInterposer, nc: 5}
+	base := columnSystem(rng, c)
+	nodes := []int{7, 14, 28}
+	want, err := NodeSweepReference(ctx, base, db(), nodes, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, size := len(want), int64(wantColumnBytes(c, len(want)))
+	run := func() *CompiledPlan {
+		t.Helper()
+		plan, err := Compile(base, db(), nodes, cost.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := plan.RunCtx(ctx, engine.WithWorkers(2))
+		if err == nil {
+			err = checkAll(want, got)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	served := func(plan *CompiledPlan) uint64 {
+		t.Helper()
+		before := plan.Stats().PkgMemo.Hits
+		front, _, err := plan.ParetoFrontCtx(ctx, []Metric{ByEmbodied, ByCost})
+		if err == nil {
+			err = checkAll(ParetoFront(want, ByEmbodied, ByCost), front)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Stats().PkgMemo.Hits - before
+	}
+	// settle collects until the pinned bytes reach want (cleanups run
+	// after the collection that finds their column unreachable).
+	settle := func(want int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for pinned.used.Load() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("pinned column bytes %d, want %d", pinned.used.Load(), want)
+			}
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Columns of earlier plans may still be awaiting their cleanups:
+	// collect until the pinned bytes hold still.
+	base0 := int64(-1)
+	for still := 0; still < 3; {
+		runtime.GC()
+		time.Sleep(2 * time.Millisecond)
+		if u := pinned.used.Load(); u != base0 {
+			base0, still = u, 0
+		} else {
+			still++
+		}
+	}
+
+	old := SetColumnBudget(base0)
+	defer SetColumnBudget(old)
+	plan := run()
+	if b := plan.Stats().ColumnBytes; b != 0 {
+		t.Fatalf("a full budget pinned a %d B column", b)
+	}
+	if got := served(plan); got != uint64(n) {
+		t.Fatalf("an unpinned complete column served %d of %d points before a collection", got, n)
+	}
+	runtime.GC()
+	if got := served(plan); got != 0 {
+		t.Fatalf("an unpinned column served %d points after a collection", got)
+	}
+
+	SetColumnBudget(base0 + size)
+	plan = run()
+	if b := plan.Stats().ColumnBytes; int64(b) != size {
+		t.Fatalf("pinned %d B, want %d", b, size)
+	}
+	if other := run(); other.Stats().ColumnBytes != 0 {
+		t.Fatal("a second column was pinned past the budget")
+	}
+	runtime.KeepAlive(plan)
+	plan = nil
+	settle(base0)
+	if again := run(); int64(again.Stats().ColumnBytes) != size {
+		t.Fatal("a collected plan's column bytes were not returned to the budget")
+	}
+}
+
+// Concurrent walks of a fresh plan — whole walks and WalkRange segments
+// — race to fill its column: each slot is kept once, a walk that
+// estimates a slot another claimed first counts a collision, and every
+// walk returns the reference's exact bits. Run under -race.
 func TestPackageColumnConcurrentWholeWalks(t *testing.T) {
+	noGC(t)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(91))
 	nodes := []int{7, 14, 28}
@@ -317,16 +488,19 @@ func TestPackageColumnConcurrentWholeWalks(t *testing.T) {
 				defer wg.Done()
 				for round := 0; round < 2; round++ {
 					var err error
-					if (w+round)%2 == 0 {
+					switch (w + round) % 3 {
+					case 0:
 						var got []Point
 						if got, err = plan.RunCtx(ctx, engine.WithWorkers(2)); err == nil {
 							err = checkAll(want, got)
 						}
-					} else {
+					case 1:
 						var front []Point
 						if front, _, err = plan.ParetoFrontCtx(ctx, []Metric{ByEmbodied, ByCost}, engine.WithWorkers(2)); err == nil {
 							err = checkAll(wantFront, front)
 						}
+					default:
+						err = walkSegments(ctx, rand.New(rand.NewSource(int64(w))), plan, want)
 					}
 					if err != nil {
 						errs[w] = fmt.Errorf("walker %d round %d: %w", w, round, err)
@@ -346,7 +520,10 @@ func TestPackageColumnConcurrentWholeWalks(t *testing.T) {
 		if s.ColumnBytes != wantColumnBytes(c, len(want)) {
 			t.Fatalf("%v: %d B column after concurrent walks", c, s.ColumnBytes)
 		}
-		if s.PkgMemo.Hits+s.PkgMemo.Misses != 2*walkers*n || s.PkgMemo.Misses < n || s.PkgMemo.Collisions != s.PkgMemo.Misses-n {
+		// Every slot is stored once. On a large plan, segments that find
+		// no column yet estimate without storing (misses, no collision).
+		stored := s.PkgMemo.Misses - s.PkgMemo.Collisions
+		if s.PkgMemo.Hits+s.PkgMemo.Misses != 2*walkers*n || stored < n || (len(want) <= fullColumnPoints && stored != n) {
 			t.Fatalf("%v: counters %+v over %d walks of %d points", c, s.PkgMemo, 2*walkers, n)
 		}
 	}

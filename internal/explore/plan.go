@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"ecochip/internal/core"
 	"ecochip/internal/cost"
@@ -76,8 +77,8 @@ type SweepStats struct {
 	// PkgMemo counts the points served from the plan's package column
 	// (Hits) against those estimated through the floorplanner (Misses).
 	PkgMemo kernel.PkgMemoStats
-	// ColumnBytes is the resident size of the published package column
-	// (0 until a whole walk completes).
+	// ColumnBytes is the size of the package column pinned on the plan
+	// (0 until walks complete it and the column budget pins it).
 	ColumnBytes int
 }
 
@@ -85,7 +86,7 @@ type SweepStats struct {
 // invariant table plus everything point evaluation needs. Compile it
 // once, run it any number of times; a plan is safe for concurrent use,
 // and immutable after Compile apart from its package column, which its
-// first completed whole walk publishes (see column.go).
+// walks fill (see column.go).
 type CompiledPlan struct {
 	tbl *kernel.Table
 
@@ -113,12 +114,12 @@ type CompiledPlan struct {
 	// verifies or is keyed by its exact inputs.
 	scratches sync.Pool
 
-	// keepsColumn reports that whole walks fill a package column (see
-	// column.go); col is the published column, filling the claim of the
-	// whole walk that fills it.
+	// keepsColumn reports that walks fill a package column (see
+	// column.go); col is the column pinned on the plan, part a weak
+	// pointer to the one being filled (or complete but not pinned).
 	keepsColumn bool
 	col         atomic.Pointer[pkgColumn]
-	filling     atomic.Bool
+	part        atomic.Pointer[weak.Pointer[columnFill]]
 
 	points, blockInits, graySteps     atomic.Uint64
 	colHits, colMisses, colCollisions atomic.Uint64
@@ -221,7 +222,7 @@ func (p *CompiledPlan) Run() ([]Point, error) {
 // identical to NodeSweepReference at any worker count.
 func (p *CompiledPlan) RunCtx(ctx context.Context, opts ...engine.Option) ([]Point, error) {
 	results := make([]Point, p.combos)
-	cw := p.claimColumn()
+	cw := p.columnFor(true)
 	err := engine.RunBlocks(ctx, p.combos, func(ctx context.Context, lo, hi int, tick func()) error {
 		return p.walkBlock(ctx, lo, hi, func(idx int, pt *Point) error {
 			cp := *pt
@@ -230,7 +231,6 @@ func (p *CompiledPlan) RunCtx(ctx context.Context, opts ...engine.Option) ([]Poi
 			return nil
 		}, tick, cw)
 	}, opts...)
-	p.releaseColumn(cw, err)
 	if err != nil {
 		return nil, err
 	}
@@ -248,12 +248,10 @@ func (p *CompiledPlan) RunCtx(ctx context.Context, opts ...engine.Option) ([]Poi
 // Nodes slice) is owned by the walker and reused after visit returns:
 // copy what must be retained. A visit error cancels the walk.
 func (p *CompiledPlan) Walk(ctx context.Context, visit func(idx int, pt *Point) error, opts ...engine.Option) error {
-	cw := p.claimColumn()
-	err := engine.RunBlocks(ctx, p.combos, func(ctx context.Context, lo, hi int, tick func()) error {
+	cw := p.columnFor(true)
+	return engine.RunBlocks(ctx, p.combos, func(ctx context.Context, lo, hi int, tick func()) error {
 		return p.walkBlock(ctx, lo, hi, visit, tick, cw)
 	}, opts...)
-	p.releaseColumn(cw, err)
-	return err
 }
 
 // WalkRange walks the contiguous sequence segment [lo, hi) of the
@@ -265,10 +263,10 @@ func (p *CompiledPlan) Walk(ctx context.Context, visit func(idx int, pt *Point) 
 // party that compiled the same plan can walk any segment and the
 // streamed points are bit-identical to the corresponding points of a
 // full Walk, so segments can be computed remotely, retried after
-// failures and reassembled in any order. A segment reads the plan's
-// package column once a whole walk has published it, but never starts
-// one. The *Point is reused after visit returns; copy what must be
-// retained.
+// failures and reassembled in any order. A segment reads and fills the
+// plan's package column; one of two or more points starts a column on
+// plans of at most 4096 points (see column.go). The *Point is reused
+// after visit returns; copy what must be retained.
 func (p *CompiledPlan) WalkRange(ctx context.Context, lo, hi int, visit func(idx int, pt *Point) error) error {
 	if lo < 0 || hi > p.combos || lo > hi {
 		return fmt.Errorf("explore: WalkRange [%d,%d) outside the %d-point plan", lo, hi, p.combos)
@@ -276,7 +274,8 @@ func (p *CompiledPlan) WalkRange(ctx context.Context, lo, hi int, visit func(idx
 	if lo == hi {
 		return ctx.Err()
 	}
-	return p.walkBlock(ctx, lo, hi, visit, func() {}, colWalk{})
+	cw := p.columnFor(hi-lo > 1 && p.combos <= fullColumnPoints)
+	return p.walkBlock(ctx, lo, hi, visit, func() {}, cw)
 }
 
 // ParetoFrontCtx runs the plan and reduces the sweep to its Pareto front
@@ -294,7 +293,7 @@ func (p *CompiledPlan) ParetoFrontCtx(ctx context.Context, objectives []Metric, 
 	}
 	var mu sync.Mutex
 	var merged []FrontEntry
-	cw := p.claimColumn()
+	cw := p.columnFor(true)
 	err := engine.RunBlocks(ctx, p.combos, func(ctx context.Context, lo, hi int, tick func()) error {
 		local := NewFrontFold(len(objectives))
 		err := p.walkBlock(ctx, lo, hi, func(idx int, pt *Point) error {
@@ -309,7 +308,6 @@ func (p *CompiledPlan) ParetoFrontCtx(ctx context.Context, objectives []Metric, 
 		mu.Unlock()
 		return nil
 	}, opts...)
-	p.releaseColumn(cw, err)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -351,10 +349,14 @@ type blockScratch struct {
 	// take the single-changed-chiplet delta path. A point finished from
 	// the column's package area skips the floorplanner and clears it.
 	estValid bool
-	// serve is the published package column the current walk reads,
-	// fill the one it fills (see column.go); nil outside a walk.
-	serve, fill *pkgColumn
-	folded      floorplan.TreeStats
+	// serve is the complete package column the current walk reads, fill
+	// the one it fills (see column.go); nil outside a walk. served and
+	// collided count the block's points served from either and those
+	// whose slot another walk claimed first.
+	serve            *pkgColumn
+	fill             *columnFill
+	served, collided uint64
+	folded           floorplan.TreeStats
 }
 
 // refreshRow regathers chiplet row i's five metric entries for node
@@ -382,7 +384,8 @@ func (p *CompiledPlan) getScratch(n int, cw colWalk) (*blockScratch, error) {
 			return nil, err
 		}
 	}
-	sc.serve, sc.fill = p.col.Load(), cw.fill
+	sc.serve, sc.fill = cw.serve, cw.fill
+	sc.served, sc.collided = 0, 0
 	if p.fpMemoSlots > 0 && n >= minMemoWalk && sc.serve == nil {
 		sc.sc.ArmFloorplanMemo(p.fpMemoSlots)
 	}
@@ -437,9 +440,9 @@ const minMemoWalk = 2
 // visit from a block-local scratch. Each Gray step names the single
 // changed chiplet, and the packaging estimate for the point runs
 // through the kernel scratch's delta path: the retained floorplan tree
-// relayouts only that chiplet's dirty path instead of re-planning. A
-// published package column replaces the estimate's floorplan work, and
-// cw.fill, when set, is the column this whole walk fills.
+// relayouts only that chiplet's dirty path instead of re-planning. The
+// package column cw names replaces the estimate's floorplan work for
+// every slot it holds, and a column being filled keeps the rest.
 func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx int, pt *Point) error, tick func(), cw colWalk) error {
 	sc, err := p.getScratch(hi-lo, cw)
 	if err != nil {
@@ -493,7 +496,7 @@ func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx
 	}
 	p.graySteps.Add(steps)
 	p.points.Add(uint64(hi - lo))
-	p.countPackageTerms(sc, hi-lo, cw)
+	p.countPackageTerms(sc, hi-lo)
 	return nil
 }
 
@@ -508,9 +511,9 @@ func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx
 // names the Gray step's chiplet (changed < 0 runs the full estimate) —
 // and out.Nodes aliases the scratch's reusable buffer: callers that
 // retain the point must copy it. slot is the point's output slot, its
-// index in the plan's package column: a published column serves the
-// package term (whole, or from the kept package area), and a filling
-// walk stores it.
+// index in the plan's package column: a filled slot serves the package
+// term (whole, or from the kept package area), and a walk filling the
+// column stores the slots it estimates.
 func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, slot int) error {
 	t := p.tbl
 	var mfgKg, desKg, nreKg, diesUSD, nreUSD float64
@@ -530,22 +533,31 @@ func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, slot int)
 	assemblyYield := 1.0
 	if p.monolith {
 		area = t.Cols().AreaMM2[sc.digits[0]]
-	} else if c := sc.serve; c != nil && c.full != nil {
-		v := &c.full[slot]
-		hiKg, area, assemblyYield, powerW = v.HIKg, v.AreaMM2, v.AssemblyYield, v.RouterPowerW
-		desKg += t.CommShare[sc.digits[0]]
 	} else {
-		pkg, err := p.estimatePackage(sc, changed, slot)
-		if err != nil {
-			return err
-		}
 		desKg += t.CommShare[sc.digits[0]]
-		hiKg = pkg.TotalKg()
-		area = pkg.PackageAreaMM2
-		assemblyYield = pkg.AssemblyYield
-		powerW = pkg.RouterTotalPowerW
-		if f := sc.fill; f != nil {
-			f.store(slot, pkg, hiKg)
+		c := sc.serve
+		if c == nil && sc.fill != nil && sc.fill.has(slot) {
+			c = sc.fill.col
+		}
+		if c != nil {
+			sc.served++
+		}
+		if c != nil && c.full != nil {
+			v := &c.full[slot]
+			hiKg, area, assemblyYield, powerW = v.HIKg, v.AreaMM2, v.AssemblyYield, v.RouterPowerW
+			sc.estValid = false
+		} else {
+			pkg, err := p.estimatePackage(sc, c, changed, slot)
+			if err != nil {
+				return err
+			}
+			hiKg = pkg.TotalKg()
+			area = pkg.PackageAreaMM2
+			assemblyYield = pkg.AssemblyYield
+			powerW = pkg.RouterTotalPowerW
+			if c == nil && sc.fill != nil {
+				p.storeColumn(sc, slot, pkg, hiKg)
+			}
 		}
 	}
 
@@ -605,9 +617,9 @@ func (p *CompiledPlan) grayInit(k int, sc *blockScratch) {
 // primitive of the serving layer: a node-swap request against a warm
 // plan inverts the Gray code to the point's sequence index and walks
 // that one-point range, so the returned point carries the exact float
-// bits of the same point in a full RunCtx — and once a whole walk has
-// published the plan's package column, the package term comes from it
-// without the floorplanner.
+// bits of the same point in a full RunCtx — and once a walk has filled
+// the point's slot of the plan's package column, the package term comes
+// from it without the floorplanner.
 func (p *CompiledPlan) EvalPoint(ctx context.Context, nodes []int) (Point, error) {
 	if len(nodes) != p.nc {
 		return Point{}, fmt.Errorf("explore: EvalPoint got %d nodes for a %d-chiplet plan", len(nodes), p.nc)

@@ -95,11 +95,11 @@ type PkgMemoStats struct {
 	// Hits is the number of points served from the package column.
 	Hits uint64
 	// Misses is the number of points whose package term was estimated:
-	// every point of a walk that found no published column.
+	// every point whose slot of the column was not yet filled.
 	Misses uint64
-	// Collisions is the subset of Misses estimated by a whole walk that
-	// found another walk still filling the column: recomputes a
-	// published column would have served.
+	// Collisions is the subset of Misses whose slot another walk had
+	// claimed first, so the estimate was not kept: concurrent walks
+	// recomputing each other's points.
 	Collisions uint64
 }
 
