@@ -46,10 +46,10 @@ import (
 // package quadruple per point.
 const fullColumnPoints = 4096
 
-// DefaultColumnBudget is the process column budget until
+// defaultColumnBudget is the process column budget until
 // SetColumnBudget changes it: 64 MB, eight columns of the largest
 // (10⁶-point) plans.
-const DefaultColumnBudget = 64 << 20
+const defaultColumnBudget = 64 << 20
 
 // pinned accounts the bytes of the package columns pinned on plans
 // against the process column budget. A pinned column's bytes are
@@ -58,7 +58,7 @@ var pinned struct {
 	limit, used atomic.Int64
 }
 
-func init() { pinned.limit.Store(DefaultColumnBudget) }
+func init() { pinned.limit.Store(defaultColumnBudget) }
 
 // SetColumnBudget bounds the bytes of complete package columns the
 // process pins on compiled plans and returns the previous bound. A
